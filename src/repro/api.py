@@ -53,21 +53,15 @@ from typing import Any, Iterator, Mapping, Sequence
 from .config import Configuration
 from .core.analysis import ConfigurationSummary, evaluate_configuration
 from .exec import (  # noqa: F401 - Executor re-exported as part of the facade
-    EXECUTOR_NAMES,
     Executor,
-    Task,
-    fragment_describer,
+    check_executor_name,
     make_executor,
+    run_campaign,
 )
 from .obs.journal import RunJournal
-from .obs.manifest import (
-    RunManifest,
-    config_fingerprint,
-    git_revision,
-    manifest_for,
-)
-from .obs.metrics import MetricsRegistry, use_registry
-from .obs.progress import ProgressTracker, start_campaign
+from .obs.manifest import RunManifest
+from .obs.metrics import MetricsRegistry
+from .obs.progress import ProgressTracker
 from .risk import (  # noqa: F401 - facade
     RiskAssessment,
     RiskDesignOutcome,
@@ -197,11 +191,7 @@ class SweepSpec:
             raise ValueError(
                 f"seed_mode must be 'shared' or 'per-point', got {self.seed_mode!r}"
             )
-        if self.executor is not None and self.executor not in EXECUTOR_NAMES:
-            raise ValueError(
-                f"executor must be one of {EXECUTOR_NAMES} or None, "
-                f"got {self.executor!r}"
-            )
+        check_executor_name(self.executor)
         for field_name in self.grid:
             if not hasattr(self.base, field_name):
                 raise ValueError(
@@ -338,21 +328,13 @@ class SweepResult:
         return xs, ys
 
 
-def _evaluate_point(spec: ExperimentSpec):
-    """Evaluate one point under private metrics/manifest collectors.
+def _evaluate_point(spec: ExperimentSpec) -> ConfigurationSummary:
+    """Evaluate one sweep point (module-level: every backend can ship it).
 
-    Module-level so the process pool can import it; returns the summary
-    plus the point's registry and manifest fragment for merging.  The
-    identical function runs in-process when ``jobs=1``, which is what
-    makes serial and parallel sweeps bit-identical.
+    The identical function runs in-process on the serial backend, which
+    is what makes serial and parallel sweeps bit-identical.
     """
-    registry = MetricsRegistry()
-    fragment = RunManifest(name=spec.label or "point")
-    with use_registry(registry):
-        with fragment.phase(spec.label or "point"):
-            summary = spec.run()
-    fragment.finish()
-    return summary, registry, fragment
+    return spec.run()
 
 
 def _warm_instance_cache(specs: Sequence[ExperimentSpec]) -> None:
@@ -389,7 +371,8 @@ def run_sweep(
 ) -> SweepResult:
     """Evaluate every point of ``spec`` on a pluggable executor backend.
 
-    Dispatch resolves through :func:`repro.exec.make_executor`:
+    The campaign runs through :func:`repro.exec.run_campaign`, whose
+    dispatch resolves through :func:`repro.exec.make_executor`:
     ``executor`` (an :class:`~repro.exec.Executor` instance or one of
     ``"serial" | "thread" | "process" | "jobfile"``) wins, then
     ``spec.executor``, then the historical jobs rule — ``jobs > 1``
@@ -428,68 +411,30 @@ def run_sweep(
     zero valid points returns a well-formed empty result (and a
     campaign-end journal record) instead of dying in pool construction.
     """
-    backend = make_executor(
-        executor if executor is not None else spec.executor,
-        jobs=jobs, jobdir=jobdir, retries=retries, task_timeout=task_timeout,
-    )
     points = spec.points()
     specs = [point_spec for _, point_spec in points]
-    tasks = [Task(i, point_spec.label or "point", point_spec)
-             for i, point_spec in enumerate(specs)]
-    campaign = start_campaign(
-        journal, progress,
-        name=spec.name, total=len(specs), jobs=backend.jobs,
-        plan=[{"index": i, "label": point_spec.label, "detail": overrides}
-              for i, (overrides, point_spec) in enumerate(points)],
-        config_hash=config_fingerprint(spec.base),
-        git_rev=git_revision(Path(__file__).resolve().parent),
-        seed=spec.seed,
-        extra={"executor": backend.name},
-    )
-    try:
-        outcomes = backend.submit_map(
-            _evaluate_point, tasks,
-            campaign=campaign,
-            prewarm=lambda: _warm_instance_cache(specs),
-            describe=fragment_describer,
-        )
-    except BaseException:
-        if campaign is not None:
-            campaign.finish(status="error")
-        raise
-    if campaign is not None:
-        campaign.finish()
-
-    manifest = manifest_for(
-        spec.name,
+    run = run_campaign(
+        spec.name, _evaluate_point,
+        [(point_spec.label, point_spec, overrides)
+         for overrides, point_spec in points],
         config=spec.base,
         seed=spec.seed,
-        grid={k: list(v) for k, v in spec.grid.items()},
-        trials=spec.trials,
-        max_sources=spec.max_sources,
-        seed_mode=spec.seed_mode,
-        jobs=backend.jobs,
-        executor=backend.name,
+        manifest_extra={
+            "grid": {k: list(v) for k, v in spec.grid.items()},
+            "trials": spec.trials,
+            "max_sources": spec.max_sources,
+            "seed_mode": spec.seed_mode,
+        },
+        prewarm=lambda: _warm_instance_cache(specs),
+        executor=executor if executor is not None else spec.executor,
+        jobs=jobs, jobdir=jobdir, retries=retries, task_timeout=task_timeout,
+        journal=journal, progress=progress,
     )
-    registry = MetricsRegistry()
-    result_points: list[SweepPoint] = []
-    for index, ((overrides, point_spec), (summary, frag_registry, fragment)) in (
-        enumerate(zip(points, outcomes))
-    ):
-        registry.absorb(frag_registry)
-        manifest = manifest.merge(fragment, name=spec.name)
-        result_points.append(SweepPoint(
-            index=index,
-            label=point_spec.label,
-            overrides=overrides,
-            spec=point_spec,
-            summary=summary,
-        ))
-    manifest.finish(registry)
-    return SweepResult(
-        spec=spec,
-        points=result_points,
-        manifest=manifest,
-        registry=registry,
-        jobs=backend.jobs,
-    )
+    result_points = [
+        SweepPoint(index=index, label=point_spec.label, overrides=overrides,
+                   spec=point_spec, summary=summary)
+        for index, ((overrides, point_spec), summary)
+        in enumerate(zip(points, run.results))
+    ]
+    return SweepResult(spec=spec, points=result_points, manifest=run.manifest,
+                       registry=run.registry, jobs=run.jobs)

@@ -326,6 +326,7 @@ def cmd_design(args: argparse.Namespace) -> int:
 
 def cmd_design_risk(args: argparse.Namespace) -> int:
     from .core.design import DesignConstraints
+    from .obs.metrics import get_registry
     from .risk import RiskSpec, design_topology_risk
 
     spec_payload: dict = {}
@@ -395,6 +396,7 @@ def cmd_design_risk(args: argparse.Namespace) -> int:
         jobs=args.jobs, journal=args.journal, progress=args.progress,
         executor=args.executor, jobdir=args.jobdir,
     )
+    get_registry().absorb(outcome.registry)
     print(outcome.describe())
     if args.out:
         from .obs.export import write_json
@@ -444,6 +446,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_resilience(args: argparse.Namespace) -> int:
+    from .obs.metrics import get_registry
     from .sim.faults import CrashSpec, FaultPlan, RetryPolicy, SlowSpec
     from .sim.resilience import ResilienceSpec, run_resilience_spec
     from .topology.builder import build_instance
@@ -512,6 +515,7 @@ def cmd_resilience(args: argparse.Namespace) -> int:
             progress=args.progress, executor=args.executor,
             jobdir=args.jobdir,
         )
+        get_registry().absorb(result.registry)
         report = result.report
         if args.replicates > 1:
             print(f"replicates: {len(result.reports)} "

@@ -2,14 +2,14 @@
 
 Every campaign in this repo — a :func:`repro.api.run_sweep` grid, a
 :func:`repro.sim.chaos.run_chaos` seed batch, a
-:func:`repro.sim.resilience.run_resilience_spec` replicate fan-out — is
-the same shape: a list of independent, picklable tasks evaluated by one
-module-level function, whose results must come back **in stable task
-order** and **bit-identical** no matter where the work physically ran.
-Before this module existed, each campaign hand-rolled its own
-``ProcessPoolExecutor`` loop (sharding, merging, telemetry wiring all
-fused to the campaign logic); now they all call
-:meth:`Executor.submit_map` and the dispatch strategy is a plugin:
+:func:`repro.sim.resilience.run_resilience_spec` replicate fan-out, a
+:func:`repro.risk.evaluate.evaluate_designs` (design × scenario) grid —
+is the same shape: a list of independent, picklable tasks evaluated by
+one module-level function, whose results must come back **in stable
+task order** and **bit-identical** no matter where the work physically
+ran.  All four run through :func:`repro.exec.run_campaign`, which wraps
+each task in private collectors and calls :meth:`Executor.submit_map`;
+the dispatch strategy is a plugin:
 
 * :class:`~repro.exec.local.SerialExecutor` — the in-process reference
   implementation every other backend must match bit-for-bit;
@@ -93,8 +93,9 @@ def fragment_describer(task: Task, outcome: Any) -> dict:
     """Finish-record fields for the repo's ``(result, registry, fragment)``
     worker convention.
 
-    Every campaign worker in this repo returns its result alongside a
-    private :class:`~repro.obs.metrics.MetricsRegistry` and a
+    Every campaign task run by :func:`repro.exec.run_campaign` returns
+    its result alongside a private
+    :class:`~repro.obs.metrics.MetricsRegistry` and a
     :class:`~repro.obs.manifest.RunManifest` fragment; this shared
     describer extracts the point's wall-clock (the fragment's phase
     keyed by the task label) and counter snapshot for the journal's

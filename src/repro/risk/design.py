@@ -31,6 +31,7 @@ from ..core.design import (
     required_outdegree,
 )
 from ..exec import Executor
+from ..obs.metrics import MetricsRegistry
 from ..topology.builder import build_instance_cached
 from .evaluate import (
     RiskAssessment,
@@ -145,6 +146,9 @@ class RiskDesignOutcome:
     assessments: list[RiskAssessment]
     chosen: RiskAssessment | None
     trail: list[str] = field(default_factory=list)
+    #: The scored cells' merged metrics; not part of :meth:`to_payload`.
+    registry: MetricsRegistry = field(default_factory=MetricsRegistry,
+                                      repr=False, compare=False)
 
     @property
     def feasible(self) -> bool:
@@ -260,7 +264,7 @@ def design_topology_risk(
             constraints=constraints, spec=spec, assessments=[],
             chosen=None, trail=trail,
         )
-    assessments = evaluate_designs(
+    assessments, registry = evaluate_designs(
         assessable, spec, jobs=jobs, journal=journal, progress=progress,
         executor=executor, jobdir=jobdir, retries=retries,
         task_timeout=task_timeout,
@@ -276,4 +280,5 @@ def design_topology_risk(
         assessments=ranked,
         chosen=chosen,
         trail=trail,
+        registry=registry,
     )

@@ -31,9 +31,8 @@ from pathlib import Path
 import numpy as np
 
 from ..config import Configuration
-from ..exec import EXECUTOR_NAMES, Executor, Task, fragment_describer, make_executor
-from ..obs.manifest import RunManifest, config_fingerprint, git_revision
-from ..obs.metrics import MetricsRegistry, use_registry
+from ..exec import Executor, check_executor_name, run_campaign
+from ..obs.metrics import MetricsRegistry
 from ..sim.faults import CrashSpec, FaultOutcome
 from ..sim.network import SimulationReport, simulate_instance
 from ..topology.builder import NetworkInstance, build_instance_cached
@@ -133,14 +132,7 @@ class RiskSpec:
             raise ValueError("max_candidates must be >= 1")
         if self.max_scenarios < 1:
             raise ValueError("max_scenarios must be >= 1")
-        if self.executor is not None and not isinstance(self.executor, str):
-            raise ValueError("executor must be a backend name or None")
-        if (isinstance(self.executor, str)
-                and self.executor not in EXECUTOR_NAMES):
-            raise ValueError(
-                f"unknown executor {self.executor!r}; "
-                f"expected one of {EXECUTOR_NAMES}"
-            )
+        check_executor_name(self.executor)
 
     def crash_spec(self) -> CrashSpec:
         return CrashSpec(mean_recovery=self.mean_recovery,
@@ -281,19 +273,13 @@ def _peak_load(report: SimulationReport, dark) -> float:
     return float(load.max())
 
 
-def _evaluate_cell(cell: RiskCell) -> tuple:
-    """Executor entry point: run one cell under private collectors.
+def _evaluate_cell(cell: RiskCell) -> dict:
+    """Executor entry point: run one cell.
 
     Module-level and importable by name — the jobfile backend's external
     workers resolve it via ``repro.risk.evaluate:_evaluate_cell``.
     """
-    registry = MetricsRegistry()
-    fragment = RunManifest(name=cell.label)
-    with use_registry(registry):
-        with fragment.phase(cell.label):
-            payload = cell.run()
-    fragment.finish()
-    return payload, registry, fragment
+    return cell.run()
 
 
 # --- per-candidate aggregation -----------------------------------------------
@@ -439,22 +425,20 @@ def evaluate_designs(
     jobdir: str | Path | None = None,
     retries: int = 0,
     task_timeout: float | None = None,
-) -> list[RiskAssessment]:
+) -> tuple[list[RiskAssessment], MetricsRegistry]:
     """Score every candidate against its weighted scenario set.
 
-    One campaign: a fault-free baseline cell per candidate plus one cell
-    per non-nominal scenario, all dispatched together through
-    :func:`repro.exec.make_executor` with the usual journal/progress
-    telemetry.  Results are folded per candidate in input order —
-    bit-identical across backends.
+    One campaign on :func:`repro.exec.run_campaign`: a fault-free
+    baseline cell per candidate plus one cell per non-nominal scenario,
+    all dispatched together with the usual journal/progress telemetry.
+    Returns the assessments, folded per candidate in input order —
+    bit-identical across backends — and the cells' merged
+    :class:`~repro.obs.metrics.MetricsRegistry`.
     """
-    from ..obs.progress import start_campaign
-
     if not candidates:
-        return []
+        return [], MetricsRegistry()
     scenario_sets = []
-    cells: list[RiskCell] = []
-    plan_rows = []
+    points: list[tuple[str, RiskCell, dict]] = []
     for label, config in candidates:
         instance = build_instance_cached(config, seed=spec.seed)
         sset = build_scenario_set(instance, spec)
@@ -468,55 +452,33 @@ def evaluate_designs(
                      engine=spec.engine, scenario=s)
             for s in sset.scenarios if not s.is_nominal
         ]
-        for cell in pending:
-            plan_rows.append({
-                "index": len(cells), "label": cell.label,
-                "detail": {
-                    "design": label,
-                    "scenario": (list(cell.scenario.failed)
-                                 if cell.scenario is not None else None),
-                    "probability": (cell.scenario.probability
-                                    if cell.scenario is not None else None),
-                    "engine": spec.engine,
-                },
+        points += [
+            (cell.label, cell, {
+                "design": label,
+                "scenario": (list(cell.scenario.failed)
+                             if cell.scenario is not None else None),
+                "probability": (cell.scenario.probability
+                                if cell.scenario is not None else None),
+                "engine": spec.engine,
             })
-            cells.append(cell)
-
-    backend = make_executor(
-        executor if executor is not None else spec.executor,
-        jobs=jobs, jobdir=jobdir, retries=retries, task_timeout=task_timeout,
-    )
-    campaign = start_campaign(
-        journal, progress,
-        name="design-risk", total=len(cells), jobs=backend.jobs,
-        plan=plan_rows,
-        config_hash=config_fingerprint(candidates[0][1]),
-        git_rev=git_revision(Path(__file__).resolve().parent),
-        seed=spec.seed,
-        extra={"executor": backend.name, "cutoff": spec.cutoff,
-               "alpha": spec.alpha},
-    )
-    tasks = [Task(i, cell.label, cell) for i, cell in enumerate(cells)]
+            for cell in pending
+        ]
 
     def _prewarm() -> None:
         for _, config in candidates:
             build_instance_cached(config, seed=spec.seed)
 
-    try:
-        results = backend.submit_map(
-            _evaluate_cell, tasks,
-            campaign=campaign,
-            prewarm=_prewarm,
-            describe=fragment_describer,
-        )
-    except BaseException:
-        if campaign is not None:
-            campaign.finish(status="error")
-        raise
-    if campaign is not None:
-        campaign.finish()
-
-    payloads = [payload for payload, _registry, _fragment in results]
+    run = run_campaign(
+        "design-risk", _evaluate_cell, points,
+        config=candidates[0][1],
+        seed=spec.seed,
+        header_extra={"cutoff": spec.cutoff, "alpha": spec.alpha},
+        prewarm=_prewarm,
+        executor=executor if executor is not None else spec.executor,
+        jobs=jobs, jobdir=jobdir, retries=retries, task_timeout=task_timeout,
+        journal=journal, progress=progress,
+    )
+    payloads = run.results
     assessments = []
     cursor = 0
     for (label, config), sset in zip(candidates, scenario_sets):
@@ -528,4 +490,4 @@ def evaluate_designs(
         assessments.append(
             _assess(label, config, spec, sset, baseline, paired)
         )
-    return assessments
+    return assessments, run.registry

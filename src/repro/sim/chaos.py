@@ -20,8 +20,9 @@ invariants that must hold for **every** plan:
 * **bit-identical replay** — re-running the degraded simulation from
   the same seed reproduces the loads and counters exactly.
 
-Cases fan out across seeds the same way :func:`repro.api.run_sweep`
-fans out grid points: a module-level picklable worker, one private
+Cases fan out across seeds through :func:`repro.exec.run_campaign`,
+the runner :func:`repro.api.run_sweep` uses for grid points: a
+module-level picklable worker, one private
 ``MetricsRegistry``/``RunManifest`` fragment per case, merged
 associatively — so ``jobs=N`` equals ``jobs=1`` case for case.
 """
@@ -35,22 +36,11 @@ from pathlib import Path
 import numpy as np
 
 from ..config import Configuration
-from ..exec import (
-    EXECUTOR_NAMES,
-    Executor,
-    Task,
-    fragment_describer,
-    make_executor,
-)
+from ..exec import Executor, check_executor_name, run_campaign
 from ..obs.journal import RunJournal
-from ..obs.manifest import (
-    RunManifest,
-    config_fingerprint,
-    git_revision,
-    manifest_for,
-)
-from ..obs.metrics import MetricsRegistry, use_registry
-from ..obs.progress import ProgressTracker, start_campaign
+from ..obs.manifest import RunManifest
+from ..obs.metrics import MetricsRegistry
+from ..obs.progress import ProgressTracker
 from ..stats.rng import derive_rng
 from ..topology.builder import build_instance
 from .faults import CrashSpec, FaultPlan, PartitionWindow, RetryPolicy, SlowSpec
@@ -218,11 +208,7 @@ class ChaosSpec:
             raise ValueError(
                 f"engine must be 'event' or 'array', got {self.engine!r}"
             )
-        if self.executor is not None and self.executor not in EXECUTOR_NAMES:
-            raise ValueError(
-                f"executor must be one of {EXECUTOR_NAMES} or None, "
-                f"got {self.executor!r}"
-            )
+        check_executor_name(self.executor)
 
     @property
     def seeds(self) -> tuple[int, ...]:
@@ -473,15 +459,11 @@ def run_chaos_case(spec: ChaosSpec, seed: int) -> ChaosCaseResult:
     )
 
 
-def _case_worker(args: tuple) -> tuple:
-    """One case under private collectors (mirrors ``api._evaluate_point``)."""
+def _case_worker(args: tuple) -> ChaosCaseResult:
+    """One ``(spec, seed)`` case, module-level so every backend can ship it."""
     spec, seed = args
-    registry = MetricsRegistry()
-    fragment = RunManifest(name=f"chaos[{seed}]")
     try:
-        with use_registry(registry):
-            with fragment.phase(f"chaos[{seed}]"):
-                case = run_chaos_case(spec, seed)
+        return run_chaos_case(spec, seed)
     except Exception as exc:
         # Surface the reproduction recipe instead of a bare pickled
         # traceback from inside the pool.
@@ -489,8 +471,6 @@ def _case_worker(args: tuple) -> tuple:
             f"chaos case seed={seed} failed "
             f"({type(exc).__name__}: {exc}); spec={spec.to_dict()}"
         ) from exc
-    fragment.finish()
-    return case, registry, fragment
 
 
 def run_chaos(
@@ -506,13 +486,14 @@ def run_chaos(
 ) -> ChaosReport:
     """Run every case of ``spec`` on a pluggable executor backend.
 
-    The same executor discipline as :func:`repro.api.run_sweep`:
-    dispatch resolves through :func:`repro.exec.make_executor`
-    (``executor`` argument, then ``spec.executor``, then the jobs rule),
-    and every backend returns identical case results in stable seed
-    order with one merged registry/manifest — each case is evaluated by
-    the module-level :func:`_case_worker` under private collectors, so
-    where it runs cannot change what it computes.
+    The same campaign runner as :func:`repro.api.run_sweep`,
+    :func:`repro.exec.run_campaign`: dispatch resolves through
+    :func:`repro.exec.make_executor` (``executor`` argument, then
+    ``spec.executor``, then the jobs rule), and every backend returns
+    identical case results in stable seed order with one merged
+    registry/manifest — each case is evaluated by the module-level
+    :func:`_case_worker` under private collectors, so where it runs
+    cannot change what it computes.
 
     ``journal``/``progress`` attach the campaign-telemetry layer
     (:mod:`repro.obs.journal` / :mod:`repro.obs.progress`) exactly as in
@@ -521,62 +502,30 @@ def run_chaos(
     case results are bit-identical with telemetry on or off.  A spec
     with ``cases=0`` returns a well-formed empty report.
     """
-    backend = make_executor(
-        executor if executor is not None else spec.executor,
-        jobs=jobs, jobdir=jobdir, retries=retries, task_timeout=task_timeout,
-    )
     try:
-        config_hash = config_fingerprint(spec.configuration())
+        config = spec.configuration()
     except ValueError:
         # An invalid spec must still blow up inside the case worker,
         # where ChaosCaseError attaches the reproduction recipe.
-        config_hash = None
-    campaign = start_campaign(
-        journal, progress,
-        name="chaos", total=spec.cases, jobs=backend.jobs,
-        plan=[{"index": i, "label": f"chaos[{seed}]",
-               "detail": {"seed": seed, "detector": spec.detector,
-                          "engine": spec.engine}}
-              for i, seed in enumerate(spec.seeds)],
-        config_hash=config_hash,
-        git_rev=git_revision(Path(__file__).resolve().parent),
+        config = None
+    run = run_campaign(
+        "chaos", _case_worker,
+        [(f"chaos[{seed}]", (spec, seed),
+          {"seed": seed, "detector": spec.detector, "engine": spec.engine})
+         for seed in spec.seeds],
+        config=config,
         seed=spec.base_seed,
-        extra={"executor": backend.name},
+        manifest_extra={
+            "cases": spec.cases,
+            "duration": spec.duration,
+            "recovery": spec.recovery,
+            "replay": spec.replay,
+            "detector": spec.detector,
+            "engine": spec.engine,
+        },
+        executor=executor if executor is not None else spec.executor,
+        jobs=jobs, jobdir=jobdir, retries=retries, task_timeout=task_timeout,
+        journal=journal, progress=progress,
     )
-    tasks = [Task(i, f"chaos[{seed}]", (spec, seed))
-             for i, seed in enumerate(spec.seeds)]
-    try:
-        outcomes = backend.submit_map(
-            _case_worker, tasks,
-            campaign=campaign,
-            describe=fragment_describer,
-        )
-    except BaseException:
-        if campaign is not None:
-            campaign.finish(status="error")
-        raise
-    if campaign is not None:
-        campaign.finish()
-
-    manifest = manifest_for(
-        "chaos",
-        config=spec.configuration(),
-        seed=spec.base_seed,
-        cases=spec.cases,
-        duration=spec.duration,
-        recovery=spec.recovery,
-        replay=spec.replay,
-        detector=spec.detector,
-        engine=spec.engine,
-        jobs=backend.jobs,
-        executor=backend.name,
-    )
-    registry = MetricsRegistry()
-    cases: list[ChaosCaseResult] = []
-    for case, frag_registry, fragment in outcomes:
-        registry.absorb(frag_registry)
-        manifest = manifest.merge(fragment, name="chaos")
-        cases.append(case)
-    manifest.finish(registry)
-    return ChaosReport(spec=spec, cases=cases, manifest=manifest,
-                       registry=registry, jobs=backend.jobs)
+    return ChaosReport(spec=spec, cases=run.results, manifest=run.manifest,
+                       registry=run.registry, jobs=run.jobs)

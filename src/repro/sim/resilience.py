@@ -18,7 +18,6 @@ run *is* the baseline run (bit-identical loads), which
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from time import perf_counter
@@ -26,20 +25,9 @@ from time import perf_counter
 import numpy as np
 
 from ..config import Configuration
-from ..exec import (
-    EXECUTOR_NAMES,
-    Executor,
-    Task,
-    fragment_describer,
-    make_executor,
-)
-from ..obs.manifest import (
-    RunManifest,
-    config_fingerprint,
-    git_revision,
-    manifest_for,
-)
-from ..obs.metrics import MetricsRegistry, use_registry
+from ..exec import Executor, check_executor_name, run_campaign
+from ..obs.manifest import RunManifest
+from ..obs.metrics import MetricsRegistry
 from ..querymodel.distributions import QueryModel
 from ..stats.rng import derive_seed
 from ..topology.builder import NetworkInstance, build_instance
@@ -329,11 +317,7 @@ class ResilienceSpec:
             raise ValueError(
                 f"engine must be 'event' or 'array', got {self.engine!r}"
             )
-        if self.executor is not None and self.executor not in EXECUTOR_NAMES:
-            raise ValueError(
-                f"executor must be one of {EXECUTOR_NAMES} or None, "
-                f"got {self.executor!r}"
-            )
+        check_executor_name(self.executor)
 
     def replicate_seed(self, replicate: int) -> int | None:
         """The seed replicate ``replicate`` builds and simulates from."""
@@ -419,31 +403,22 @@ class ResilienceResult:
         }
 
 
-def _replicate_worker(args: tuple) -> tuple:
-    """One replicate under private collectors (mirrors ``api._evaluate_point``).
+def _replicate_worker(args: tuple) -> ResilienceReport:
+    """One ``(spec, replicate)`` resilience comparison.
 
-    Module-level and picklable; builds the replicate's instance from its
-    derived seed and runs the plain (telemetry-free) resilience
-    comparison — which is what makes replicate 0 bit-identical to the
-    historical single-call path.
+    Module-level so every backend can ship it; builds the replicate's
+    instance from its derived seed and runs the plain (telemetry-free)
+    resilience comparison — which is what makes replicate 0
+    bit-identical to the historical single-call path.
     """
     spec, replicate = args
     seed = spec.replicate_seed(replicate)
-    label = f"replicate[{replicate}]"
-    registry = MetricsRegistry()
-    fragment = RunManifest(name=label)
-    with use_registry(registry):
-        with fragment.phase(label):
-            instance = build_instance(spec.config, seed=seed)
-            report = run_resilience(
-                instance, spec.plan, duration=spec.duration, rng=seed,
-                enable_churn=spec.enable_churn,
-                enable_updates=spec.enable_updates,
-                recovery=spec.recovery, detector=spec.detector,
-                engine=spec.engine,
-            )
-    fragment.finish()
-    return report, registry, fragment
+    instance = build_instance(spec.config, seed=seed)
+    return run_resilience(
+        instance, spec.plan, duration=spec.duration, rng=seed,
+        enable_churn=spec.enable_churn, enable_updates=spec.enable_updates,
+        recovery=spec.recovery, detector=spec.detector, engine=spec.engine,
+    )
 
 
 def run_resilience_spec(
@@ -459,8 +434,7 @@ def run_resilience_spec(
 ) -> ResilienceResult:
     """Run every replicate of ``spec`` on a pluggable executor backend.
 
-    The resilience campaign runner, on the same
-    :func:`repro.exec.make_executor` discipline as
+    The resilience campaign, on :func:`repro.exec.run_campaign` like
     :func:`repro.api.run_sweep` and :func:`repro.sim.chaos.run_chaos`:
     replicates fan out as self-contained tasks (each carries its derived
     seed), results return in stable replicate order, and every backend
@@ -468,64 +442,31 @@ def run_resilience_spec(
     campaign telemetry; a spec with ``replicates=0`` returns a
     well-formed empty result.
     """
-    from ..obs.progress import start_campaign
-
-    backend = make_executor(
-        executor if executor is not None else spec.executor,
-        jobs=jobs, jobdir=jobdir, retries=retries, task_timeout=task_timeout,
-    )
-    campaign = start_campaign(
-        journal, progress,
-        name="resilience", total=spec.replicates, jobs=backend.jobs,
-        plan=[{"index": r, "label": f"replicate[{r}]",
-               "detail": {"replicate": r, "seed": spec.replicate_seed(r),
-                          "plan": spec.plan.describe(),
-                          "engine": spec.engine}}
-              for r in range(spec.replicates)],
-        config_hash=config_fingerprint(spec.config),
-        git_rev=git_revision(Path(__file__).resolve().parent),
-        seed=spec.seed,
-        extra={"executor": backend.name},
-    )
-    tasks = [Task(r, f"replicate[{r}]", (spec, r))
-             for r in range(spec.replicates)]
-    try:
-        outcomes = backend.submit_map(
-            _replicate_worker, tasks,
-            campaign=campaign,
-            describe=fragment_describer,
-        )
-    except BaseException:
-        if campaign is not None:
-            campaign.finish(status="error")
-        raise
-    if campaign is not None:
-        campaign.finish()
-
-    manifest = manifest_for(
-        "resilience",
+    run = run_campaign(
+        "resilience", _replicate_worker,
+        [(f"replicate[{r}]", (spec, r),
+          {"replicate": r, "seed": spec.replicate_seed(r),
+           "plan": spec.plan.describe(), "engine": spec.engine})
+         for r in range(spec.replicates)],
         config=spec.config,
         seed=spec.seed,
-        replicates=spec.replicates,
-        duration=spec.duration,
-        plan=spec.plan.describe(),
-        recovery=(
-            None if spec.recovery is None else spec.recovery.describe()
-        ),
-        detector=spec.detector,
-        engine=spec.engine,
-        jobs=backend.jobs,
-        executor=backend.name,
+        manifest_extra={
+            "replicates": spec.replicates,
+            "duration": spec.duration,
+            "plan": spec.plan.describe(),
+            "recovery": (
+                None if spec.recovery is None else spec.recovery.describe()
+            ),
+            "detector": spec.detector,
+            "engine": spec.engine,
+        },
+        executor=executor if executor is not None else spec.executor,
+        jobs=jobs, jobdir=jobdir, retries=retries, task_timeout=task_timeout,
+        journal=journal, progress=progress,
     )
-    registry = MetricsRegistry()
-    reports: list[ResilienceReport] = []
-    for report, frag_registry, fragment in outcomes:
-        registry.absorb(frag_registry)
-        manifest = manifest.merge(fragment, name="resilience")
-        reports.append(report)
-    manifest.finish(registry)
-    return ResilienceResult(spec=spec, reports=reports, manifest=manifest,
-                            registry=registry, jobs=backend.jobs)
+    return ResilienceResult(spec=spec, reports=run.results,
+                            manifest=run.manifest, registry=run.registry,
+                            jobs=run.jobs)
 
 
 def run_resilience(
@@ -575,12 +516,10 @@ def run_resilience(
     resilience run is watchable with ``repro watch`` and a killed run
     leaves a readable record.  Observation-only, as everywhere else.
 
-    Passing a :class:`~repro.config.Configuration` as the first argument
-    is deprecated: the instance is built from ``rng`` as the seed
-    (matching the historical CLI path bit-for-bit), but new code should
-    declare a :class:`ResilienceSpec` and call
-    :func:`run_resilience_spec`, which adds replicate fan-out, executor
-    selection, and JSON round-tripping.
+    ``instance`` must be a built :class:`NetworkInstance`; to run from
+    a :class:`~repro.config.Configuration`, declare a
+    :class:`ResilienceSpec` and call :func:`run_resilience_spec`, which
+    adds replicate fan-out, executor selection, and JSON round-tripping.
     """
     if isinstance(rng, np.random.Generator):
         raise TypeError(
@@ -588,12 +527,11 @@ def run_resilience(
             "the baseline and degraded runs must replay the same stream"
         )
     if isinstance(instance, Configuration):
-        warnings.warn(
-            "run_resilience(config, ...) is deprecated; declare a "
-            "ResilienceSpec and call run_resilience_spec instead",
-            DeprecationWarning, stacklevel=2,
+        raise TypeError(
+            "run_resilience needs a built NetworkInstance as `instance`, "
+            "not a Configuration; declare a ResilienceSpec and call "
+            "run_resilience_spec instead"
         )
-        instance = build_instance(instance, seed=rng)
     if detector is not None:
         if detector not in ("oracle", "gossip"):
             raise ValueError(

@@ -218,6 +218,15 @@ class TestResilience:
         assert "retry" not in plan_line
         assert "query success rate" in out
 
+    def test_metrics_include_task_counters(self, capsys):
+        code, out = run_cli(
+            capsys, "--seed", "1", "--metrics", "resilience",
+            "--graph-size", "200", "--cluster-size", "10",
+            "--duration", "100", "--loss", "0.02",
+        )
+        assert code == 0
+        assert "sim.queries" in out
+
 
 class TestProfile:
     def test_attribution_tables(self, capsys):
@@ -480,6 +489,11 @@ class TestDesignRisk:
         assert payload["feasible"] is True
         assert payload["chosen"] is not None
         assert payload["designs"]
+
+    def test_metrics_include_cell_counters(self, capsys):
+        code, out = run_cli(capsys, "--metrics", *self.ARGS)
+        assert code == 0
+        assert "sim.queries" in out
 
     def test_spec_file_supplies_both_sections(self, capsys, tmp_path):
         import json

@@ -41,6 +41,7 @@ from repro.exec import (
 )
 from repro.exec.jobfile import _resolve_fn, _task_name, _task_pos
 from repro.obs.metrics import MetricsRegistry, get_registry, use_registry
+from repro.risk import RiskSpec
 from repro.sim.chaos import ChaosSpec, run_chaos
 from repro.sim.faults import FaultPlan, RetryPolicy
 from repro.sim.resilience import (
@@ -515,15 +516,11 @@ class TestResilienceSpec:
                                 rng=spec.seed)
         assert result.report.to_dict() == legacy.to_dict()
 
-    def test_config_positional_shim_warns(self):
+    def test_config_positional_is_rejected(self):
         spec = small_resilience(replicates=1, duration=60.0)
-        with pytest.warns(DeprecationWarning, match="ResilienceSpec"):
-            report = run_resilience(spec.config, spec.plan,
-                                    duration=60.0, rng=spec.seed)
-        instance = build_instance(spec.config, seed=spec.seed)
-        direct = run_resilience(instance, spec.plan, duration=60.0,
-                                rng=spec.seed)
-        assert report.to_dict() == direct.to_dict()
+        with pytest.raises(TypeError, match="`instance`.*run_resilience_spec"):
+            run_resilience(spec.config, spec.plan, duration=60.0,
+                           rng=spec.seed)
 
 
 class TestEmptyCampaigns:
@@ -561,6 +558,26 @@ class TestEmptyCampaigns:
         records = [json.loads(line)
                    for line in journal.read_text().splitlines()]
         assert records[-1]["record"] == "campaign-end"
+
+
+#: Each campaign spec class with a small factory taking overrides.
+SPEC_FACTORIES = {
+    "sweep": (SweepSpec,
+              lambda **kw: small_sweep(grid={"cluster_size": [5, 10]}, **kw)),
+    "chaos": (ChaosSpec, lambda **kw: ChaosSpec(cases=1, **kw)),
+    "resilience": (ResilienceSpec, small_resilience),
+    "risk": (RiskSpec, RiskSpec),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SPEC_FACTORIES))
+def test_spec_executor_field_shares_one_check(kind):
+    cls, make = SPEC_FACTORIES[kind]
+    with pytest.raises(ValueError, match="executor"):
+        make(executor="bogus")
+    for name in EXECUTOR_NAMES:
+        spec = make(executor=name)
+        assert cls.from_dict(spec.to_dict()) == spec
 
 
 class TestSpecExecutorField:

@@ -19,6 +19,7 @@ The contracts held here:
 
 from __future__ import annotations
 
+import importlib
 import json
 
 import pytest
@@ -40,7 +41,10 @@ from repro.obs.progress import (
     start_campaign,
 )
 from repro.reporting import render_campaign, render_progress_line
+from repro.risk import RiskSpec, evaluate_designs
 from repro.sim.chaos import ChaosSpec, run_chaos
+from repro.sim.faults import FaultPlan
+from repro.sim.resilience import ResilienceSpec, run_resilience_spec
 
 BASE = Configuration(graph_size=200, cluster_size=10, ttl=3,
                      avg_outdegree=4.0)
@@ -349,6 +353,47 @@ def test_sweep_error_lands_in_journal(tmp_path, monkeypatch):
     assert state.errors == 1
     assert state.end_status == "error"
     assert state.error_rollup()["RuntimeError"]["count"] == 1
+
+
+#: Every campaign runner as (module, bare task function, one-task run).
+ONE_TASK_RUNNERS = {
+    "sweep": ("repro.api", "_evaluate_point", lambda journal: run_sweep(
+        small_sweep(grid={"ttl": (2,)}), journal=journal)),
+    "chaos": ("repro.sim.chaos", "_case_worker", lambda journal: run_chaos(
+        ChaosSpec(cases=1, graph_size=120, duration=60.0), journal=journal)),
+    "resilience": (
+        "repro.sim.resilience", "_replicate_worker",
+        lambda journal: run_resilience_spec(
+            ResilienceSpec(config=BASE, plan=FaultPlan(message_loss=0.05),
+                           duration=60.0),
+            journal=journal)),
+    # A one-second mean recovery leaves only the nominal scenario, so the
+    # campaign is the candidate's single baseline cell.
+    "design-risk": (
+        "repro.risk.evaluate", "_evaluate_cell",
+        lambda journal: evaluate_designs(
+            [("d", BASE)], RiskSpec(duration=60.0, mean_recovery=1.0),
+            journal=journal)),
+}
+
+
+@pytest.mark.parametrize("runner", sorted(ONE_TASK_RUNNERS))
+def test_every_runner_journals_task_errors(tmp_path, monkeypatch, runner):
+    module_name, fn_name, run = ONE_TASK_RUNNERS[runner]
+
+    def explode(arg):
+        raise RuntimeError("scripted failure")
+
+    monkeypatch.setattr(importlib.import_module(module_name), fn_name,
+                        explode)
+    journal_path = tmp_path / "e.jsonl"
+    with pytest.raises(RuntimeError, match="scripted failure"):
+        run(journal_path)
+    records, _skipped = read_journal(journal_path)
+    assert records[0]["total_points"] == 1
+    state = replay_journal(journal_path)
+    assert state.errors == 1
+    assert state.end_status == "error"
 
 
 def test_start_campaign_returns_none_when_telemetry_off():
