@@ -984,6 +984,9 @@ def main(argv: list[str] | None = None) -> int:
         args.tracer = Tracer(capacity=args.trace_capacity, sink=args.trace_out)
     try:
         code = args.func(args)
+    except ValueError as exc:  # invalid inputs, ScenarioBudgetError included
+        print(f"error: {exc}", file=sys.stderr)
+        code = 2
     finally:
         if registry is not None:
             set_registry(previous)

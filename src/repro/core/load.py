@@ -461,9 +461,9 @@ def _accumulate_queries_bfs(
                 att.add_q_by_depth("response", "proc", prop.depth, hs_proc)
                 att.add_edges(prop, w, None, None, None)  # flood edges only
         else:
-            fw_m = prop.accumulate_to_source(msgs_w)
-            fw_a = prop.accumulate_to_source(addr_w)
-            fw_r = prop.accumulate_to_source(res_w)
+            fw_m, fw_a, fw_r = prop.accumulate_to_source(
+                np.stack([msgs_w, addr_w, res_w], axis=1)
+            ).T
 
         senders = reached.copy()
         senders[s] = False

@@ -14,10 +14,14 @@ Flooding semantics (baseline Gnutella search, Section 3.1):
   all neighbours except the sender, provided d < TTL;
 * duplicate receipts are received (incurring receive cost) and dropped.
 
-:class:`QueryPropagation` captures one traversal — depths, predecessors,
-per-node query transmissions and receipts — and provides the reverse-path
-accumulator used to charge Response forwarding costs on every node along
-each responder's path back to the source.
+Every deterministic flood in the library runs through one private
+kernel, :func:`_flood`: a frontier-sparse BFS over many sources at once
+(the K_n closed form for complete overlays).  :func:`propagate_query` is
+its one-source entry and :func:`repro.sim.fastcore.flood_block` its
+many-source entry.  Likewise every reverse-path sum runs through
+:func:`_fold`, behind :meth:`QueryPropagation.accumulate_to_source`,
+:func:`repro.sim.faults.lossy_accumulate` and the array engine's
+response pass.
 """
 
 from __future__ import annotations
@@ -61,6 +65,12 @@ class QueryPropagation:
         """Total query transmissions (equals total receipts by conservation)."""
         return float(self.transmissions.sum())
 
+    def messages_per_hop(self) -> list[float]:
+        """Query transmissions summed by sender depth, one entry per hop."""
+        mask = self.reached
+        counts = np.bincount(self.depth[mask], weights=self.transmissions[mask])
+        return [float(x) for x in counts]
+
     # --- reverse-path accumulation ---------------------------------------------
 
     def accumulate_to_source(self, weights: np.ndarray) -> np.ndarray:
@@ -78,45 +88,153 @@ class QueryPropagation:
 
         At the source, ``forwarded[source] - weights[source]`` is the total
         weight arriving over the overlay.  Weights at unreached nodes must
-        be zero (they never respond).
+        be zero (they never respond).  ``weights`` may also be ``(n, C)``,
+        one column per channel; each column folds exactly as it would alone.
         """
         weights = np.asarray(weights, dtype=float)
-        if weights.shape != self.depth.shape:
+        if weights.ndim not in (1, 2) or weights.shape[0] != self.depth.size:
             raise ValueError("weights must have one entry per node")
         if np.any(weights[~self.reached] != 0.0):
             raise ValueError("unreached nodes cannot carry response weight")
-        forwarded = weights.astype(float).copy()
-        # Fold levels bottom-up: children at depth d add into their
-        # predecessor at depth d-1.  np.add.at handles shared predecessors.
-        for d in range(self.max_depth, 0, -1):
-            level = np.nonzero(self.depth == d)[0]
-            if level.size:
-                np.add.at(forwarded, self.pred[level], forwarded[level])
-        return forwarded
+        sent = np.array(weights.T, order="C", ndmin=2)
+        _fold(self.depth, self.pred, sent)
+        return sent.T if weights.ndim == 2 else sent[0]
 
     def response_path_lengths(self) -> np.ndarray:
         """Hop count of each reached node's response path (its BFS depth)."""
         return self.depth[self.reached]
 
 
-def _neighbors_of_frontier(
-    graph: OverlayGraph, frontier: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(senders, targets) arrays for all out-edges of ``frontier`` nodes."""
-    starts = graph.indptr[frontier]
-    ends = graph.indptr[frontier + 1]
-    counts = ends - starts
-    total = int(counts.sum())
-    if total == 0:
-        empty = np.array([], dtype=np.int64)
-        return empty, empty
-    # Gather CSR slices without a Python loop: offsets[j] walks each
-    # frontier node's adjacency range consecutively.
-    repeats = np.repeat(starts - np.concatenate(([0], np.cumsum(counts)[:-1])), counts)
-    offsets = np.arange(total, dtype=np.int64) + repeats
-    targets = graph.indices[offsets]
-    senders = np.repeat(frontier, counts)
-    return senders, targets
+def _fold(depth, pred, sent, edge_pass=None, received=None) -> None:
+    """Fold each channel of ``sent`` up the predecessor forest in place.
+
+    ``sent`` holds one 1-D array per channel (a ``(C, n)`` array works).
+    Levels go bottom-up: the nodes at depth d add what they send into
+    their predecessors at depth d-1 (``np.add.at`` handles shared
+    predecessors), so afterwards ``sent[c][v]`` is the weight of ``v``'s
+    whole subtree.  A node whose ``edge_pass`` entry is False still sends
+    but its predecessor receives nothing; ``received``, when given,
+    collects per channel what arrives at each node.  ``depth``/``pred``
+    may be flattened blocks of floods whose predecessors are flat
+    indices.
+    """
+    for d in range(int(depth.max(initial=0)), 0, -1):
+        level = np.flatnonzero(depth == d)
+        if edge_pass is not None:
+            level = level[edge_pass[level]]
+        if level.size:
+            up = pred[level]
+            for c, channel in enumerate(sent):
+                moving = channel[level]
+                if received is not None:
+                    np.add.at(received[c], up, moving)
+                np.add.at(channel, up, moving)
+
+
+def _gather(graph: OverlayGraph, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Out-edges of ``nodes`` in CSR order: (edges per node, heads)."""
+    starts = graph.indptr[nodes]
+    counts = graph.indptr[nodes + 1] - starts
+    # offsets walk each node's adjacency range consecutively.
+    offsets = (starts - counts.cumsum() + counts).repeat(counts)
+    offsets += np.arange(offsets.size)
+    return counts, graph.indices[offsets]
+
+
+def _flood(graph, sources: np.ndarray, ttl: int,
+           blocked: np.ndarray | None = None):
+    """BFS floods from every source at once: (depth, pred, transmissions,
+    receipts), each of shape ``(len(sources), n)``.
+
+    Row ``i`` is the flood from ``sources[i]``.  The frontier is a sorted
+    array of flat ``row * n + node`` keys, so each level gathers only the
+    frontier's CSR slices, and ``np.unique`` picks every newly reached
+    node's first writer: the lowest-id sender on that row's frontier.
+    Forwarders (reached at depth < TTL) send to every neighbour but their
+    predecessor, the source to all of them; each such copy is received
+    unless the head is ``blocked``.  A blocked node never receives,
+    processes or forwards, and a blocked source floods nothing.
+    Complete overlays without a mask take the K_n closed form.
+    """
+    n = graph.num_nodes
+    if sources.size and (sources.min() < 0 or sources.max() >= n):
+        bad = sources[(sources < 0) | (sources >= n)][0]
+        raise IndexError(f"source {bad} out of range [0, {n})")
+    if ttl < 1:
+        raise ValueError("ttl must be >= 1")
+    if blocked is not None:
+        blocked = np.asarray(blocked, dtype=bool)
+        if blocked.shape != (n,):
+            raise ValueError("blocked must have one entry per node")
+    if isinstance(graph, CompleteGraph):
+        if blocked is None:
+            return _complete_flood(n, sources, ttl)
+        graph = graph.materialize()
+
+    b = sources.size
+    rows = np.arange(b)
+    depth = np.full(b * n, -1, dtype=np.int64)
+    pred = np.full(b * n, -1, dtype=np.int64)  # flat sender keys until the end
+    roots = rows * n + sources
+    keys = roots if blocked is None else roots[~blocked[sources]]
+    depth[keys] = 0
+    heard = []
+    for d in range(ttl):
+        nodes = keys if b == 1 else keys % n
+        counts, heads = _gather(graph, nodes)
+        senders = keys.repeat(counts)
+        targets = heads if b == 1 else (keys - nodes).repeat(counts) + heads
+        # A forwarder skips the hop back to its own predecessor.
+        live = pred[senders] != targets
+        fresh = depth[targets] == -1
+        if blocked is not None:
+            ok = ~blocked[heads]
+            live &= ok
+            fresh &= ok
+        heard.append(targets[live])
+        keys, first = np.unique(targets[fresh], return_index=True)
+        if keys.size == 0:
+            break
+        depth[keys] = d + 1
+        pred[keys] = senders[fresh][first]
+
+    forwarder = (depth >= 0) & (depth < ttl)
+    # Forwarders skip their predecessor; the source has none to skip.
+    transmissions = np.where(forwarder.reshape(b, n), graph.degrees - 1.0, 0.0)
+    transmissions.reshape(-1)[roots] += forwarder[roots]
+    receipts = np.bincount(np.concatenate(heard), minlength=b * n)
+    pred = pred.reshape(b, n)
+    if b > 1:
+        pred -= np.where(pred >= 0, rows[:, np.newaxis] * n, 0)
+    return (depth.reshape(b, n), pred, transmissions,
+            receipts.astype(np.float64).reshape(b, n))
+
+
+def _complete_flood(n: int, sources: np.ndarray, ttl: int):
+    """The K_n closed form of :func:`_flood` (no adjacency needed).
+
+    With TTL = 1 the source sends n-1 queries and every other node receives
+    exactly one.  With TTL >= 2, every non-source node additionally
+    forwards to its n-2 non-predecessor neighbours, so each non-source node
+    receives 1 + (n-2) copies (all duplicates dropped) and the source
+    receives none (every node's predecessor is the source itself, and
+    flooding skips the predecessor).
+    """
+    b = sources.size
+    rows = np.arange(b)
+    depth = np.ones((b, n), dtype=np.int64)
+    depth[rows, sources] = 0
+    pred = np.repeat(sources[:, np.newaxis], n, axis=1)
+    pred[rows, sources] = -1
+    transmissions = np.zeros((b, n))
+    receipts = np.zeros((b, n))
+    if n > 1:
+        relay = ttl >= 2 and n > 2
+        transmissions[:] = n - 2.0 if relay else 0.0
+        transmissions[rows, sources] = n - 1.0
+        receipts[:] = n - 1.0 if relay else 1.0
+        receipts[rows, sources] = 0.0
+    return depth, pred, transmissions, receipts
 
 
 def propagate_query(
@@ -124,9 +242,8 @@ def propagate_query(
 ) -> QueryPropagation:
     """Breadth-first flood of a query from ``source`` with the given TTL.
 
-    Works on :class:`OverlayGraph` and on small :class:`CompleteGraph`
-    instances (which it materializes); the load engine uses closed forms
-    for large complete graphs instead of calling this.
+    Works on :class:`OverlayGraph` and on :class:`CompleteGraph` of any
+    size (in closed form; materialized only under a ``blocked`` mask).
 
     ``blocked`` (optional boolean mask, one entry per node) marks dead
     relays: a blocked node never receives, processes, or forwards the
@@ -135,107 +252,14 @@ def propagate_query(
     down) but are never received.  A blocked source yields an empty
     propagation (nothing is reached, nothing is sent).
     """
-    if isinstance(graph, CompleteGraph):
-        graph = graph.materialize()
-    n = graph.num_nodes
-    if not 0 <= source < n:
-        raise IndexError(f"source {source} out of range [0, {n})")
-    if ttl < 1:
-        raise ValueError("ttl must be >= 1")
-    if blocked is not None:
-        blocked = np.asarray(blocked, dtype=bool)
-        if blocked.shape != (n,):
-            raise ValueError("blocked must have one entry per node")
-
-    depth = np.full(n, -1, dtype=np.int64)
-    pred = np.full(n, -1, dtype=np.int64)
-    if blocked is not None and blocked[source]:
-        empty = np.zeros(n, dtype=np.float64)
-        return QueryPropagation(
-            source=source, ttl=ttl, depth=depth, pred=pred,
-            transmissions=empty, receipts=empty.copy(),
-        )
-    depth[source] = 0
-    frontier = np.array([source], dtype=np.int64)
-    for d in range(ttl):
-        senders, targets = _neighbors_of_frontier(graph, frontier)
-        fresh = depth[targets] == -1
-        if blocked is not None and targets.size:
-            fresh &= ~blocked[targets]
-        targets = targets[fresh]
-        senders = senders[fresh]
-        if targets.size == 0:
-            break
-        # First writer wins: the predecessor is the first sender to deliver
-        # the query, matching the BFS predecessor-graph approximation.
-        unique_targets, first_index = np.unique(targets, return_index=True)
-        depth[unique_targets] = d + 1
-        pred[unique_targets] = senders[first_index]
-        frontier = unique_targets
-
-    degrees = graph.degrees
-    reached = depth >= 0
-    # Forwarders re-send to every neighbour except the first sender; the
-    # source has no sender and fans out to all its neighbours.
-    forwarder = reached & (depth < ttl)
-    transmissions = np.zeros(n, dtype=np.float64)
-    transmissions[forwarder] = degrees[forwarder] - 1
-    if forwarder[source]:
-        transmissions[source] = degrees[source]
-
-    # Receipts: every directed edge (v -> u) with v a forwarder delivers a
-    # copy to u, except the edge back to v's own predecessor.
-    tails, heads = graph.directed_edge_arrays()
-    live = forwarder[tails] & (pred[tails] != heads)
-    if blocked is not None:
-        live &= ~blocked[heads]
-    receipts = np.bincount(heads[live], minlength=n).astype(np.float64)
-
-    return QueryPropagation(
-        source=source,
-        ttl=ttl,
-        depth=depth,
-        pred=pred,
-        transmissions=transmissions,
-        receipts=receipts,
+    depth, pred, transmissions, receipts = _flood(
+        graph, np.array([source], dtype=np.int64), ttl, blocked
     )
-
-
-def complete_graph_propagation(num_nodes: int, source: int, ttl: int) -> QueryPropagation:
-    """Closed-form propagation on K_n (any size, no adjacency needed).
-
-    With TTL = 1 the source sends n-1 queries and every other node receives
-    exactly one.  With TTL >= 2, every non-source node additionally
-    forwards to its n-2 non-predecessor neighbours, so each non-source node
-    receives 1 + (n-2) copies (all duplicates dropped) and the source
-    receives 0 extra (every node's predecessor is the source itself, and
-    flooding skips the predecessor).
-    """
-    if not 0 <= source < num_nodes:
-        raise IndexError(f"source {source} out of range [0, {num_nodes})")
-    if ttl < 1:
-        raise ValueError("ttl must be >= 1")
-    n = num_nodes
-    depth = np.ones(n, dtype=np.int64)
-    depth[source] = 0
-    pred = np.full(n, source, dtype=np.int64)
-    pred[source] = -1
-    transmissions = np.zeros(n, dtype=np.float64)
-    receipts = np.zeros(n, dtype=np.float64)
-    if n > 1:
-        transmissions[source] = n - 1
-        receipts[:] = 1.0
-        receipts[source] = 0.0
-        if ttl >= 2 and n > 2:
-            # Depth-1 nodes forward to everyone but the source.
-            non_source = np.arange(n) != source
-            transmissions[non_source] = n - 2
-            receipts[non_source] += n - 2
     return QueryPropagation(
         source=source,
         ttl=ttl,
-        depth=depth,
-        pred=pred,
-        transmissions=transmissions,
-        receipts=receipts,
+        depth=depth[0],
+        pred=pred[0],
+        transmissions=transmissions[0],
+        receipts=receipts[0],
     )

@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.routing import complete_graph_propagation, propagate_query
+from ..core.routing import propagate_query
 from ..obs.metrics import get_registry
-from ..topology.strong import CompleteGraph
 from .base import QUERY_BYTES, QueryCost, SearchProtocol
 
 
@@ -38,13 +37,6 @@ class FloodingSearch(SearchProtocol):
                 raise ValueError("dead_clusters must have one entry per cluster")
         self.dead_clusters = dead_clusters
 
-    def _propagate(self, source: int):
-        graph = self.instance.graph
-        if self.dead_clusters is None and isinstance(graph, CompleteGraph):
-            return complete_graph_propagation(graph.num_nodes, source, self.ttl)
-        return propagate_query(graph, source, self.ttl,
-                               blocked=self.dead_clusters)
-
     def hop_profile(self, source: int) -> list[float]:
         """Messages transmitted at each hop of the flood from ``source``.
 
@@ -53,14 +45,13 @@ class FloodingSearch(SearchProtocol):
         per-query ``fanout`` trace field, and the shape the attribution
         profiler's by-hop tables aggregate over all sources.
         """
-        prop = self._propagate(source)
-        mask = prop.depth >= 0
-        counts = np.bincount(prop.depth[mask], weights=prop.transmissions[mask])
-        return [float(x) for x in counts]
+        return propagate_query(self.instance.graph, source, self.ttl,
+                               blocked=self.dead_clusters).messages_per_hop()
 
     def query_cost(self, source: int) -> QueryCost:
         metrics = get_registry()
-        prop = self._propagate(source)
+        prop = propagate_query(self.instance.graph, source, self.ttl,
+                               blocked=self.dead_clusters)
         reached = prop.reached
         metrics.counter("search.flooding.queries").add()
         metrics.counter("search.flooding.query_messages").add(

@@ -8,20 +8,24 @@ the same measured loads with structure-of-arrays kernels:
 * **Shared schedule** — both engines replay one pre-generated
   :class:`~repro.sim.schedule.WorkloadSchedule`, so query / join /
   update counts are bit-equal across engines by construction.
-* **Batched floods** — :func:`flood_block` runs blocks of BFS floods as
-  ``(block, nodes)`` numpy arrays over the CSR overlay, bit-identical to
-  :func:`repro.core.routing.propagate_query` per source (the
-  property-test contract in ``tests/test_fastcore.py``).  Since the
-  fault-free flood depends only on the source, per-source results are
-  weighted by that source's query count instead of being recomputed per
-  query — flood transmissions, receipts and reach are then *exactly* the
-  event engine's totals (integer-valued sums, exact under reordering).
+* **Batched floods** — :func:`flood_block` runs blocks of BFS floods
+  through the one flood kernel the event engine and the MVA also use
+  (``repro.core.routing._flood``, a frontier-sparse BFS over the CSR
+  overlay), so each row equals
+  :func:`repro.core.routing.propagate_query` by construction; the
+  kernel's scalar oracle lives in ``tests/_flood_oracle.py``
+  (``tests/test_fastcore.py``).  Since the fault-free flood depends
+  only on the source, per-source results are weighted by that source's
+  query count instead of being recomputed per query — flood
+  transmissions, receipts and reach are then *exactly* the event
+  engine's totals (integer-valued sums, exact under reordering).
 * **Mean-field responses** — per-query response weights are replaced by
   their conditional expectations given the query-class mix and
   per-window cluster index sizes (the paper's Eq. 5/6 expectations,
   ``querymodel.distributions``), accumulated up each source's reverse
-  path in one batched pass.  Per-node response loads therefore agree in
-  expectation and concentrate over thousands of queries; the
+  path in one batched pass of the shared reverse-path fold
+  (``repro.core.routing._fold``).  Per-node response loads therefore
+  agree in expectation and concentrate over thousands of queries; the
   differential harness (``tests/test_differential.py``) pre-registers
   the tolerances.
 * **Sampled deliveries** — what each querying client actually receives
@@ -64,11 +68,11 @@ import numpy as np
 from .. import constants
 from ..core import costs
 from ..core.load import _HANDSHAKE_BYTES, _HANDSHAKE_RECV_UNITS, _HANDSHAKE_SEND_UNITS
+from ..core.routing import _flood, _fold
 from ..obs.metrics import get_registry
 from ..querymodel.distributions import QueryModel, default_query_model
 from ..stats.rng import derive_rng
 from ..topology.builder import NetworkInstance
-from ..topology.strong import CompleteGraph
 from ..units import bytes_per_second_to_bps, units_per_second_to_hz
 from .faults import FaultOutcome, FaultPlan
 from .schedule import WorkloadSchedule, generate_workload
@@ -92,9 +96,8 @@ class FloodBlock:
     """A block of BFS floods over one overlay, one row per source.
 
     Row ``i`` is exactly ``propagate_query(graph, sources[i], ttl)``:
-    same depths, same first-sender predecessors (the minimum-id frontier
-    neighbor — frontiers are ascending, so "first writer" is "lowest
-    sender"), same per-node transmissions and receipts.
+    both come from the same kernel, ``repro.core.routing._flood``, whose
+    scalar oracle lives in ``tests/_flood_oracle.py``.
     """
 
     sources: np.ndarray        # (b,)
@@ -115,105 +118,10 @@ class FloodBlock:
 
 def flood_block(graph, sources, ttl: int) -> FloodBlock:
     """Batched BFS floods from ``sources``, equivalent to per-source
-    :func:`~repro.core.routing.propagate_query`.
-
-    Per step the whole block advances at once over the directed edge
-    arrays: a ``(block, edges)`` activity mask selects edges whose tail
-    is on that row's frontier and whose head is unreached, and a
-    head-segmented ``minimum.reduceat`` picks each new node's
-    predecessor (the lowest-id frontier neighbor, matching the scalar
-    kernel's first-writer-wins on ascending frontiers).  Transmissions
-    and receipts then follow from depths and predecessors in closed form,
-    exactly as the scalar kernel computes them.
-    """
-    if isinstance(graph, CompleteGraph):
-        graph = graph.materialize()
-    n = graph.num_nodes
-    if ttl < 1:
-        raise ValueError("ttl must be >= 1")
+    :func:`~repro.core.routing.propagate_query` (the K_n closed form on
+    complete overlays)."""
     sources = np.asarray(sources, dtype=np.int64)
-    if sources.size and (sources.min() < 0 or sources.max() >= n):
-        raise IndexError(f"sources out of range [0, {n})")
-    b = sources.size
-    rows = np.arange(b)
-
-    tails, heads = graph.directed_edge_arrays()
-    head_order = np.argsort(heads, kind="stable")
-    heads_sorted = heads[head_order]
-    tails_sorted = tails[head_order]
-    uniq_heads, seg_starts = np.unique(heads_sorted, return_index=True)
-
-    depth = np.full((b, n), -1, dtype=np.int64)
-    pred = np.full((b, n), -1, dtype=np.int64)
-    depth[rows, sources] = 0
-    frontier = np.zeros((b, n), dtype=bool)
-    frontier[rows, sources] = True
-    for d in range(ttl):
-        active = frontier[:, tails_sorted] & (depth[:, heads_sorted] == -1)
-        if not active.any():
-            break
-        # Min tail per (row, head) segment; n is the "no sender" sentinel.
-        cand = np.where(active, tails_sorted[np.newaxis, :], n)
-        best = np.minimum.reduceat(cand, seg_starts, axis=1)
-        new_rows, new_cols = np.nonzero(best < n)
-        if new_rows.size == 0:
-            break
-        nodes = uniq_heads[new_cols]
-        depth[new_rows, nodes] = d + 1
-        pred[new_rows, nodes] = best[new_rows, new_cols]
-        frontier = np.zeros((b, n), dtype=bool)
-        frontier[new_rows, nodes] = True
-
-    degrees = graph.degrees.astype(np.float64)
-    reached = depth >= 0
-    forwarder = reached & (depth < ttl)
-    transmissions = np.where(forwarder, degrees[np.newaxis, :] - 1.0, 0.0)
-    transmissions[rows, sources] = np.where(
-        forwarder[rows, sources], degrees[sources], 0.0
-    )
-    live = forwarder[:, tails_sorted] & (pred[:, tails_sorted] != heads_sorted[np.newaxis, :])
-    receipts = np.zeros((b, n))
-    if uniq_heads.size:
-        receipts[:, uniq_heads] = np.add.reduceat(
-            live.astype(np.float64), seg_starts, axis=1
-        )
-    return FloodBlock(
-        sources=sources, ttl=int(ttl), depth=depth, pred=pred,
-        transmissions=transmissions, receipts=receipts,
-    )
-
-
-def _complete_block(n: int, sources: np.ndarray, ttl: int) -> FloodBlock:
-    """Closed-form :class:`FloodBlock` on K_n (mirrors
-    :func:`~repro.core.routing.complete_graph_propagation`)."""
-    sources = np.asarray(sources, dtype=np.int64)
-    b = sources.size
-    rows = np.arange(b)
-    depth = np.ones((b, n), dtype=np.int64)
-    depth[rows, sources] = 0
-    pred = np.broadcast_to(sources[:, np.newaxis], (b, n)).copy()
-    pred[rows, sources] = -1
-    transmissions = np.zeros((b, n))
-    receipts = np.zeros((b, n))
-    if n > 1:
-        transmissions[rows, sources] = n - 1.0
-        receipts[:] = 1.0
-        receipts[rows, sources] = 0.0
-        if ttl >= 2 and n > 2:
-            transmissions[:] = n - 2.0
-            transmissions[rows, sources] = n - 1.0
-            receipts[:] = n - 1.0
-            receipts[rows, sources] = 0.0
-    return FloodBlock(
-        sources=sources, ttl=int(ttl), depth=depth, pred=pred,
-        transmissions=transmissions, receipts=receipts,
-    )
-
-
-def _prop_block(graph, sources: np.ndarray, ttl: int) -> FloodBlock:
-    if isinstance(graph, CompleteGraph):
-        return _complete_block(graph.num_nodes, sources, ttl)
-    return flood_block(graph, sources, ttl)
+    return FloodBlock(sources, int(ttl), *_flood(graph, sources, ttl))
 
 
 def _miss_power_table(log_miss: np.ndarray, collections: np.ndarray) -> np.ndarray:
@@ -547,7 +455,7 @@ def _simulate_fault_free_array(
     hop_messages = np.zeros(ttl + 1)
     for start in range(0, q_sources.size, max(1, block)):
         src = q_sources[start:start + max(1, block)]
-        fb = _prop_block(graph, src, ttl)
+        fb = flood_block(graph, src, ttl)
         b = src.size
         rows = np.arange(b)
         mb = m_s[src]
@@ -586,14 +494,12 @@ def _simulate_fault_free_array(
         Wb = (mb / M)[:, np.newaxis, np.newaxis] * W3[np.newaxis, :, :]
         Wb[~reached] = 0.0
         Wb[rows, src] = 0.0
-        fw = Wb.reshape(b * n, 3).copy()
         flat_pred = (fb.pred + rows[:, np.newaxis] * n).reshape(-1)
-        flat_depth = fb.depth.reshape(-1)
-        for d in range(int(fb.depth.max(initial=0)), 0, -1):
-            idx = np.nonzero(flat_depth == d)[0]
-            if idx.size:
-                np.add.at(fw, flat_pred[idx], fw[idx])
-        fw3 = fw.reshape(b, n, 3)
+        # Channel-major for the fold; back to (b, n, 3) so the sums below
+        # keep their summation order.
+        fw = Wb.transpose(2, 0, 1).reshape(3, b * n).copy()
+        _fold(fb.depth.reshape(-1), flat_pred, fw)
+        fw3 = np.ascontiguousarray(fw.reshape(3, b, n).transpose(1, 2, 0))
         fw_sum = fw3.sum(axis=0)
         inc = fw_sum - Wb.sum(axis=0)
         sender_sum = fw_sum.copy()

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from ..core.routing import QueryPropagation, _neighbors_of_frontier
+from ..core.routing import QueryPropagation, _fold, _gather
 from ..obs.metrics import get_registry
 from ..obs.trace import NULL_TRACER
 from ..topology.strong import CompleteGraph
@@ -700,9 +700,10 @@ def sampled_propagation(
         depth[source] = 0
         frontier = np.array([source], dtype=np.int64)
         for d in range(ttl):
-            senders, targets = _neighbors_of_frontier(graph, frontier)
+            counts, targets = _gather(graph, frontier)
             if targets.size == 0:
                 break
+            senders = np.repeat(frontier, counts)
             # Forwarders skip the hop back to their predecessor.
             keep = pred[senders] != targets
             senders, targets = senders[keep], targets[keep]
@@ -783,18 +784,7 @@ def lossy_accumulate(
     its subtree children.  ``received[source]`` is the query's delivered
     response volume.
     """
-    n = prop.depth.size
-    sent = [np.asarray(w, dtype=float).copy() for w in channels]
-    received = [np.zeros(n) for _ in channels]
-    for d in range(prop.max_depth, 0, -1):
-        level = np.nonzero(prop.depth == d)[0]
-        if level.size == 0:
-            continue
-        passing = level[edge_pass[level]]
-        if passing.size == 0:
-            continue
-        preds = prop.pred[passing]
-        for s_arr, r_arr in zip(sent, received):
-            np.add.at(r_arr, preds, s_arr[passing])
-            np.add.at(s_arr, preds, s_arr[passing])
-    return sent, received
+    sent = np.array(channels, dtype=float)
+    received = np.zeros_like(sent)
+    _fold(prop.depth, prop.pred, sent, edge_pass, received)
+    return list(sent), list(received)

@@ -40,12 +40,11 @@ from ..core import costs
 from ..core.load import LoadReport, _HANDSHAKE_BYTES, _HANDSHAKE_RECV_UNITS, _HANDSHAKE_SEND_UNITS
 from ..obs.metrics import get_registry
 from ..obs.trace import NULL_TRACER, Tracer
-from ..core.routing import complete_graph_propagation, propagate_query
+from ..core.routing import propagate_query
 from ..querymodel.distributions import QueryModel, default_query_model
 from ..querymodel.files import default_file_distribution
 from ..stats.rng import derive_rng
 from ..topology.builder import NetworkInstance
-from ..topology.strong import CompleteGraph
 from ..units import bytes_per_second_to_bps, units_per_second_to_hz
 from .engine import Simulator
 from .faults import (
@@ -212,20 +211,6 @@ class _State:
         return p
 
 
-def _propagate(state: _State, source: int, ttl: int):
-    graph = state.instance.graph
-    if isinstance(graph, CompleteGraph):
-        return complete_graph_propagation(graph.num_nodes, source, ttl)
-    return propagate_query(graph, source, ttl)
-
-
-def _fanout_per_hop(prop) -> list[float]:
-    """Messages crossing each hop: transmissions summed by sender depth."""
-    mask = prop.depth >= 0
-    counts = np.bincount(prop.depth[mask], weights=prop.transmissions[mask])
-    return [float(x) for x in counts]
-
-
 def _run_query(state: _State, source_cluster: int, client_index: int | None,
                j: int) -> None:
     """Account one full query: flood, sampled matches, reverse-path responses.
@@ -248,7 +233,7 @@ def _run_query(state: _State, source_cluster: int, client_index: int | None,
         st.sp_in[s] += _QUERY_BYTES / st.k
         st.sp_proc[s] += (_RECV_Q + _MUX * st.m_sp[s]) / st.k
 
-    prop = _propagate(st, s, ttl)
+    prop = propagate_query(st.instance.graph, s, ttl)
     reached = prop.reached
     st.total_reach += prop.reach
 
@@ -284,9 +269,9 @@ def _run_query(state: _State, source_cluster: int, client_index: int | None,
     msgs_w[s] = 0.0
     addr_w = np.where(msgs_w > 0, k_addr, 0).astype(float)
     res_w = np.where(msgs_w > 0, n_results, 0).astype(float)
-    fw_m = prop.accumulate_to_source(msgs_w)
-    fw_a = prop.accumulate_to_source(addr_w)
-    fw_r = prop.accumulate_to_source(res_w)
+    fw_m, fw_a, fw_r = prop.accumulate_to_source(
+        np.stack([msgs_w, addr_w, res_w], axis=1)
+    ).T
 
     senders = reached.copy()
     senders[s] = False
@@ -327,7 +312,7 @@ def _run_query(state: _State, source_cluster: int, client_index: int | None,
             "query", st.now, source=s, reach=int(prop.reach),
             results=float(fw_r[s] + n_results[s]),
             query_messages=float(prop.transmissions.sum()),
-            fanout=_fanout_per_hop(prop),
+            fanout=prop.messages_per_hop(),
             client=client_index is not None,
             attempts=1, waited=0.0,
         )
@@ -602,7 +587,7 @@ def _flood_attempt_faulty(state: _State, rt: FaultRuntime, s: int,
     # rumored, charged per digest once a suspicion episode opens).
     if rt.gossip is not None:
         rt.gossip.on_flood(prop, edge_pass)
-    fanout = _fanout_per_hop(prop) if st.tracer.enabled else []
+    fanout = prop.messages_per_hop() if st.tracer.enabled else []
     return delivered, float(prop.reach), stats.lost, fanout
 
 

@@ -192,6 +192,31 @@ class TestSimulate:
         assert "queries" in out
 
 
+class TestBoundaryErrors:
+    """Invalid values print one ``error:`` line and exit 2, no traceback."""
+
+    def assert_one_line_error(self, capsys, *argv: str, field: str) -> None:
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert field in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_resilience_loss_out_of_range(self, capsys):
+        self.assert_one_line_error(
+            capsys, "resilience", "--graph-size", "200", "--duration", "60",
+            "--loss", "1.5", field="message_loss",
+        )
+
+    def test_simulate_negative_duration(self, capsys):
+        self.assert_one_line_error(
+            capsys, "simulate", "--graph-size", "200", "--duration", "-5",
+            field="duration",
+        )
+
+
 class TestResilience:
     def test_runs_and_reports(self, capsys):
         code, out = run_cli(

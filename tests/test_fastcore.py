@@ -1,12 +1,15 @@
-"""Property tests for the array engine's batched flood kernel.
+"""Property tests for the shared flood kernel.
 
-``repro.sim.fastcore.flood_block`` claims to be *bit-identical*, per
-source, to the scalar oracle ``repro.core.routing.propagate_query``.
-These tests pin that claim and the kernel's structural invariants on
-hypothesis-generated graphs:
+``repro.core.routing`` runs every deterministic flood through one
+batched kernel: ``propagate_query`` is its one-source entry and
+``repro.sim.fastcore.flood_block`` its many-source entry.  These tests
+pin both entries to the scalar reference BFS in ``_flood_oracle`` and
+check the kernel's structural invariants on hypothesis-generated graphs:
 
 * **bit-identity** — every field (depth, pred, transmissions, receipts)
-  equals the scalar kernel's, for every source;
+  equals the oracle's, for every source, with and without a ``blocked``
+  mask, and for the K_n closed form against a BFS over the materialized
+  complete graph;
 * **message conservation per hop** — the transmissions sent by depth-d
   forwarders equal the receipts their edges deliver, recomputed
   independently from the raw edge arrays;
@@ -22,9 +25,11 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.core.routing import complete_graph_propagation, propagate_query
-from repro.sim.fastcore import _complete_block, flood_block
+from _flood_oracle import oracle_flood
+from repro.core.routing import propagate_query
+from repro.sim.fastcore import flood_block
 from repro.topology.graph import OverlayGraph
+from repro.topology.strong import CompleteGraph
 
 
 @st.composite
@@ -41,18 +46,52 @@ def _graphs(draw):
 _TTLS = st.integers(min_value=1, max_value=5)
 
 
+def _assert_rows_match_oracle(graph, oracle_graph, sources, ttl, blocked=None):
+    """flood_block row i and propagate_query(sources[i]) both equal the
+    oracle's flood from sources[i] on every field, dtype included."""
+    fb = flood_block(graph, sources, ttl) if blocked is None else None
+    for i, s in enumerate(sources.tolist()):
+        expected = oracle_flood(oracle_graph, s, ttl, blocked)
+        prop = propagate_query(graph, s, ttl, blocked=blocked)
+        rows = [(prop.depth, prop.pred, prop.transmissions, prop.receipts)]
+        if fb is not None:
+            rows.append((fb.depth[i], fb.pred[i], fb.transmissions[i],
+                         fb.receipts[i]))
+        for row in rows:
+            for got, want in zip(row, expected):
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+
+
 @settings(max_examples=60, deadline=None)
 @given(graph=_graphs(), ttl=_TTLS)
 def test_bit_identity_vs_scalar_kernel(graph, ttl):
-    """flood_block row i == propagate_query(sources[i]) on every field."""
-    sources = np.arange(graph.num_nodes)
-    fb = flood_block(graph, sources, ttl)
-    for i, s in enumerate(sources):
-        prop = propagate_query(graph, int(s), ttl)
-        assert np.array_equal(fb.depth[i], prop.depth)
-        assert np.array_equal(fb.pred[i], prop.pred)
-        assert np.array_equal(fb.transmissions[i], prop.transmissions)
-        assert np.array_equal(fb.receipts[i], prop.receipts)
+    """Both kernel entries equal the scalar oracle from every source."""
+    _assert_rows_match_oracle(graph, graph, np.arange(graph.num_nodes), ttl)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph=_graphs(), ttl=_TTLS, data=st.data())
+def test_bit_identity_with_blocked_mask(graph, ttl, data):
+    """Truncated floods match the oracle; node 0 is always blocked, so
+    every example also floods from a blocked source."""
+    n = graph.num_nodes
+    blocked = np.array(data.draw(st.lists(st.booleans(), min_size=n,
+                                          max_size=n)))
+    blocked[0] = True
+    _assert_rows_match_oracle(graph, graph, np.arange(n), ttl, blocked)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(min_value=1, max_value=40), ttl=_TTLS,
+       data=st.data())
+def test_complete_closed_form_vs_oracle(n, ttl, data):
+    """The K_n closed form equals the oracle's BFS over the materialized
+    K_n, for one source (b=1) and for every source at once (b>1)."""
+    graph = CompleteGraph(n)
+    one = np.array([data.draw(st.integers(min_value=0, max_value=n - 1))])
+    _assert_rows_match_oracle(graph, graph.materialize(), one, ttl)
+    _assert_rows_match_oracle(graph, graph.materialize(), np.arange(n), ttl)
 
 
 @settings(max_examples=60, deadline=None)
@@ -119,17 +158,3 @@ def test_frontier_bounded_by_reachable_set(graph, ttl):
         # Depths never exceed the TTL and the source owns depth zero.
         assert depth.max(initial=0) <= ttl
         assert frontier_sizes[0] == 1
-
-
-@settings(max_examples=30, deadline=None)
-@given(n=st.integers(min_value=2, max_value=40), ttl=_TTLS)
-def test_complete_block_matches_closed_form(n, ttl):
-    """The K_n fast path mirrors complete_graph_propagation exactly."""
-    sources = np.arange(n)
-    fb = _complete_block(n, sources, ttl)
-    for i, s in enumerate(sources):
-        prop = complete_graph_propagation(n, int(s), ttl)
-        assert np.array_equal(fb.depth[i], prop.depth)
-        assert np.array_equal(fb.pred[i], prop.pred)
-        assert np.array_equal(fb.transmissions[i], prop.transmissions)
-        assert np.array_equal(fb.receipts[i], prop.receipts)

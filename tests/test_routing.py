@@ -3,10 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.routing import (
-    complete_graph_propagation,
-    propagate_query,
-)
+from repro.core.routing import propagate_query
 from repro.topology.graph import OverlayGraph
 from repro.topology.strong import strongly_connected_graph
 
@@ -128,6 +125,26 @@ class TestAccumulateToSource:
         with pytest.raises(ValueError):
             prop.accumulate_to_source(bad)
 
+    def test_channel_columns_fold_like_single_channels(self):
+        from repro.topology.plod import plod_graph
+
+        g = plod_graph(150, 3.1, rng=4)
+        prop = propagate_query(g, 5, ttl=4)
+        rng = np.random.default_rng(0)
+        channels = np.where(prop.reached[:, None], rng.random((150, 3)), 0.0)
+        folded = prop.accumulate_to_source(channels)
+        assert folded.shape == (150, 3)
+        for c in range(3):
+            assert np.array_equal(folded[:, c],
+                                  prop.accumulate_to_source(channels[:, c]))
+
+    def test_weight_shape_rejected(self):
+        prop = propagate_query(path_graph(4), 0, ttl=3)
+        with pytest.raises(ValueError):
+            prop.accumulate_to_source(np.zeros(3))
+        with pytest.raises(ValueError):
+            prop.accumulate_to_source(np.zeros((4, 2, 1)))
+
     def test_total_weight_arrives_at_source(self):
         from repro.topology.plod import plod_graph
 
@@ -148,7 +165,7 @@ class TestCompleteGraphClosedForm:
     def test_matches_explicit_bfs_ttl1(self):
         n = 9
         explicit = propagate_query(strongly_connected_graph(n).materialize(), 2, ttl=1)
-        closed = complete_graph_propagation(n, 2, ttl=1)
+        closed = propagate_query(strongly_connected_graph(n), 2, ttl=1)
         np.testing.assert_array_equal(explicit.depth, closed.depth)
         np.testing.assert_array_equal(explicit.transmissions, closed.transmissions)
         np.testing.assert_array_equal(explicit.receipts, closed.receipts)
@@ -156,7 +173,7 @@ class TestCompleteGraphClosedForm:
     def test_matches_explicit_bfs_ttl2(self):
         n = 7
         explicit = propagate_query(strongly_connected_graph(n).materialize(), 0, ttl=2)
-        closed = complete_graph_propagation(n, 0, ttl=2)
+        closed = propagate_query(strongly_connected_graph(n), 0, ttl=2)
         np.testing.assert_array_equal(explicit.depth, closed.depth)
         np.testing.assert_array_equal(explicit.transmissions, closed.transmissions)
         np.testing.assert_array_equal(explicit.receipts, closed.receipts)
@@ -166,6 +183,6 @@ class TestCompleteGraphClosedForm:
         assert prop.reach == 5
 
     def test_single_node(self):
-        prop = complete_graph_propagation(1, 0, ttl=1)
+        prop = propagate_query(strongly_connected_graph(1), 0, ttl=1)
         assert prop.reach == 1
         assert prop.transmissions.sum() == 0
