@@ -131,7 +131,9 @@ def _config_from_args(args: argparse.Namespace) -> Configuration:
     A thin wrapper over :meth:`Configuration.from_dict`: the file (if
     given) supplies the base fields and explicitly passed flags override
     them.  ``--strong``/``--redundancy`` are store-true flags, so they
-    only override when asserted.
+    only override when asserted.  An invalid flag value raises the
+    field's ``ValueError`` (one ``error:`` line, exit 2); a bad file
+    exits with ``invalid configuration: ...``.
     """
     payload: dict = {}
     if getattr(args, "config", None):
@@ -161,6 +163,8 @@ def _config_from_args(args: argparse.Namespace) -> Configuration:
     try:
         return Configuration.from_dict(payload)
     except ValueError as exc:
+        if not getattr(args, "config", None):
+            raise
         raise SystemExit(f"invalid configuration: {exc}")
 
 

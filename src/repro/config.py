@@ -23,6 +23,7 @@ the inverse of its session length (Section 4.1, step 3).
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, fields, replace
 
 from . import constants
@@ -81,8 +82,11 @@ class Configuration:
                 f"avg_outdegree must be >= 1 for multi-cluster networks, "
                 f"got {self.avg_outdegree}"
             )
-        if self.query_rate < 0 or self.update_rate < 0:
-            raise ValueError("action rates must be non-negative")
+        for name in ("query_rate", "update_rate"):
+            rate = getattr(self, name)
+            # A NaN compares False with everything, so test the good range.
+            if not (math.isfinite(rate) and rate >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {rate}")
         if self.redundancy and self.redundancy_factor < 2:
             raise ValueError("redundancy_factor must be >= 2 when redundancy is on")
         if self.redundancy and self.cluster_size < self.redundancy_factor:
@@ -91,7 +95,9 @@ class Configuration:
                 "can staff its virtual super-peer"
             )
         if not 0.0 <= self.cluster_size_sigma < 1.0:
-            raise ValueError("cluster_size_sigma must be in [0, 1)")
+            raise ValueError(
+                f"cluster_size_sigma must be in [0, 1), got {self.cluster_size_sigma}"
+            )
 
     # --- derived quantities (Section 4.1, step 1) ---------------------------
 

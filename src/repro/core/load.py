@@ -26,6 +26,11 @@ The computation follows the paper exactly:
   partner indexes all cluster data, and the open-connection counts grow
   as described in the paper (k^2 between neighbouring clusters).
 
+Every query cost is proportional to the per-user query rate, so the
+query component is computed once per topology at unit rate (the *query
+profile*, cached per instance) and multiplied by the configured rate —
+the paper's "combine with action rates" step.
+
 Two evaluation modes: *exact* visits every source cluster; *sampled*
 (seeded) visits a uniform subset and scales, keeping 20,000-peer
 configurations tractable.  Strongly connected overlays use a closed-form
@@ -34,12 +39,14 @@ path that never materializes K_n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import threading
+import weakref
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .. import constants
-from ..obs.attribution import NULL_ATTRIBUTION, NullAttribution
+from ..obs.attribution import NULL_ATTRIBUTION, NullAttribution, RateScaledAttribution
 from ..obs.metrics import get_registry
 from ..querymodel.distributions import QueryModel, default_query_model
 from ..querymodel.expectation import ClusterExpectations, cluster_expectations
@@ -247,6 +254,17 @@ def evaluate_instance(
 ) -> LoadReport:
     """Run the mean-value analysis over one instance.
 
+    Section 4.1 first computes the expected cost of one query from each
+    source and then combines it with the action rates.  Every query cost
+    is proportional to the per-user query rate, so the query component
+    is computed once per topology at unit rate — the *query profile*:
+    the flood, reverse-path and client legs plus the Appendix B
+    expectations — and multiplied by ``config.query_rate``.  Profiles
+    are cached per instance (see :func:`clear_query_profile_cache`), so
+    a sweep over query rates floods each topology once.  Every call
+    takes the same multiply, cached or not, so outputs never depend on
+    the cache state.
+
     Parameters
     ----------
     instance:
@@ -271,7 +289,9 @@ def evaluate_instance(
         Optional :class:`~repro.obs.attribution.LoadAttribution` that
         receives a copy of every contribution added to the accumulators,
         tagged (node, action, resource, hop).  Observation-only: the
-        numeric outputs are bit-identical with or without it.
+        numeric outputs are bit-identical with or without it.  With an
+        attribution the query profile is computed afresh, never read
+        from the cache.
     """
     unknown = set(components) - set(WORKLOAD_COMPONENTS)
     if unknown:
@@ -280,18 +300,15 @@ def evaluate_instance(
         raise ValueError(
             f"unknown response_mode {response_mode!r}; one of {RESPONSE_MODES}"
         )
+    if max_sources is not None and max_sources < 1:
+        raise ValueError(f"max_sources must be >= 1, got {max_sources}")
     model = model or default_query_model()
     att = NULL_ATTRIBUTION if attribution is None else attribution
     att.bind(instance)
     metrics = get_registry()
-    with metrics.timer("load.expectations").time():
-        exp = cluster_expectations(instance, model)
-    acc = _Accumulator(instance.num_clusters, instance.total_clients)
 
     n = instance.num_clusters
     config = instance.config
-    if max_sources is not None and max_sources < 1:
-        raise ValueError("max_sources must be >= 1")
     if max_sources is None or max_sources >= n:
         sources = np.arange(n, dtype=np.int64)
         scale = 1.0
@@ -300,25 +317,27 @@ def evaluate_instance(
         sources = np.sort(sampler.choice(n, size=max_sources, replace=False))
         scale = n / max_sources
 
-    per_source = _QuerySourceOutputs(n)
+    acc = _Accumulator(n, instance.total_clients)
     if "query" in components:
-        with metrics.timer("load.queries").time():
-            if isinstance(instance.graph, CompleteGraph):
-                # On K_n every responder already neighbours the source, so the
-                # reverse path *is* the direct hop (minus the temporary
-                # connection handshake, which the ablation adds below).
-                _accumulate_queries_strong(instance, exp, acc, per_source, att)
-                if response_mode == "direct":
-                    _add_direct_connection_overhead(instance, exp, acc, att)
-                # Closed form is exact over all sources regardless of sampling.
-                sources = np.arange(n, dtype=np.int64)
-                scale = 1.0
-            else:
-                _accumulate_queries_bfs(
-                    instance, exp, acc, per_source, sources, scale, response_mode, att
-                )
-            _accumulate_client_query_costs(instance, acc, per_source, sources, scale, att)
+        if att.enabled:
+            profile = _build_query_profile(
+                instance, model, sources, scale, response_mode,
+                RateScaledAttribution(att, config.query_rate),
+            )
+        else:
+            profile = _cached_query_profile(
+                instance, model, sources, scale, response_mode
+            )
+        q = config.query_rate
+        for name in _QUERY_LOADS:
+            setattr(acc, name, q * getattr(profile.acc, name))
+        exp, per_source = profile.expectations, profile.per_source
+        sources, scale = profile.sources, profile.scale
         metrics.counter("load.query_sources_evaluated").add(len(sources))
+    else:
+        with metrics.timer("load.expectations").time():
+            exp = cluster_expectations(instance, model)
+        per_source = _QuerySourceOutputs(n)
     if "join" in components:
         with metrics.timer("load.joins").time():
             _accumulate_joins(instance, acc, att)
@@ -333,6 +352,7 @@ def evaluate_instance(
     sp_out = acc.q_out / k + acc.p_out
     sp_proc = acc.q_proc / k + acc.p_proc
 
+    # Copies: a cached profile's arrays must not be reachable for writing.
     return LoadReport(
         instance=instance,
         expectations=exp,
@@ -342,13 +362,118 @@ def evaluate_instance(
         client_incoming_bps=bytes_per_second_to_bps(acc.c_in),
         client_outgoing_bps=bytes_per_second_to_bps(acc.c_out),
         client_processing_hz=units_per_second_to_hz(acc.c_proc),
-        results_per_query=per_source.results,
-        epl_per_query=per_source.epl,
-        reach_clusters=per_source.reach_clusters,
-        reach_peers=per_source.reach_peers,
-        evaluated_sources=sources,
+        results_per_query=per_source.results.copy(),
+        epl_per_query=per_source.epl.copy(),
+        reach_clusters=per_source.reach_clusters.copy(),
+        reach_peers=per_source.reach_peers.copy(),
+        evaluated_sources=sources.copy(),
         source_scale=scale,
     )
+
+
+# --- the query profile: Eqs. 1-2 at unit query rate, cached per topology -------
+
+#: The accumulator arrays the query passes write (rate-proportional).
+_QUERY_LOADS = ("q_in", "q_out", "q_proc", "c_in", "c_out", "c_proc")
+
+
+@dataclass(frozen=True)
+class _QueryProfile:
+    """The query component of one instance at a unit per-user query rate."""
+
+    expectations: ClusterExpectations
+    acc: _Accumulator
+    per_source: "_QuerySourceOutputs"
+    #: Evaluated sources and scale-up (every cluster on K_n).
+    sources: np.ndarray
+    scale: float
+
+
+def _build_query_profile(
+    instance: NetworkInstance,
+    model: QueryModel,
+    sources: np.ndarray,
+    scale: float,
+    response_mode: str,
+    att: NullAttribution,
+) -> _QueryProfile:
+    """Run the Appendix B expectations and every query pass at unit rate."""
+    n = instance.num_clusters
+    metrics = get_registry()
+    with metrics.timer("load.expectations").time():
+        exp = cluster_expectations(instance, model)
+    acc = _Accumulator(n, instance.total_clients)
+    per_source = _QuerySourceOutputs(n)
+    with metrics.timer("load.queries").time():
+        if isinstance(instance.graph, CompleteGraph):
+            # On K_n every responder already neighbours the source, so the
+            # reverse path *is* the direct hop (minus the temporary
+            # connection handshake, which the ablation adds below).
+            _accumulate_queries_strong(instance, exp, acc, per_source, att)
+            if response_mode == "direct":
+                _add_direct_connection_overhead(instance, exp, acc, att)
+            # Closed form is exact over all sources regardless of sampling.
+            sources = np.arange(n, dtype=np.int64)
+            scale = 1.0
+        else:
+            _accumulate_queries_bfs(
+                instance, exp, acc, per_source, sources, scale, response_mode, att
+            )
+        _accumulate_client_query_costs(instance, acc, per_source, sources, scale, att)
+    return _QueryProfile(exp, acc, per_source, sources, scale)
+
+
+#: key -> (weak references to the inputs held by identity, profile).
+_PROFILES: dict[tuple, tuple[tuple[weakref.ref, ...], _QueryProfile]] = {}
+_PROFILES_LOCK = threading.Lock()
+
+
+def _cached_query_profile(
+    instance: NetworkInstance,
+    model: QueryModel,
+    sources: np.ndarray,
+    scale: float,
+    response_mode: str,
+) -> _QueryProfile:
+    """:func:`_build_query_profile` behind a process-wide cache.
+
+    The key covers every input of the pass except the query rate.  The
+    instance's arrays and graph and the query model are held by identity
+    through weak references, so an entry lives exactly as long as the
+    topology it describes and a recycled ``id`` never matches a dead
+    entry; the configuration (rate normalised), response mode, source
+    sample and scale-up are compared by value.  A racing miss under
+    threads computes the same bits; only complete profiles are stored.
+    """
+    held = tuple(
+        getattr(instance, f.name) for f in fields(instance) if f.name != "config"
+    ) + (model,)
+    key = (
+        tuple(map(id, held)),
+        replace(instance.config, query_rate=1.0),
+        response_mode,
+        sources.tobytes(),
+        scale,
+    )
+    entry = _PROFILES.get(key)
+    if entry is not None and all(ref() is obj for ref, obj in zip(entry[0], held)):
+        return entry[1]
+    profile = _build_query_profile(
+        instance, model, sources, scale, response_mode, NULL_ATTRIBUTION
+    )
+    refs = tuple(weakref.ref(obj) for obj in held)
+    with _PROFILES_LOCK:
+        dead = [k for k, (rs, _) in _PROFILES.items() if any(r() is None for r in rs)]
+        for k in dead:
+            del _PROFILES[k]
+        _PROFILES[key] = (refs, profile)
+    return profile
+
+
+def clear_query_profile_cache() -> None:
+    """Drop every cached query profile (tests; memory-sensitive callers)."""
+    with _PROFILES_LOCK:
+        _PROFILES.clear()
 
 
 class _QuerySourceOutputs:
@@ -366,16 +491,6 @@ class _QuerySourceOutputs:
         self.to_client_results = np.full(num_clusters, np.nan)
 
 
-def _cluster_rates(instance: NetworkInstance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(users per cluster, query rate per cluster, client fraction)."""
-    users = instance.clients + instance.partners
-    q_rates = instance.config.query_rate * users
-    client_fraction = np.divide(
-        instance.clients, users, out=np.zeros_like(q_rates), where=users > 0
-    )
-    return users.astype(float), q_rates, client_fraction
-
-
 def _response_triple(exp: ClusterExpectations) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(expected messages, addresses, results) originated per cluster."""
     return exp.prob_respond, exp.expected_collections, exp.expected_results
@@ -391,18 +506,22 @@ def _accumulate_queries_bfs(
     response_mode: str = "reverse-path",
     att: NullAttribution = NULL_ATTRIBUTION,
 ) -> None:
-    """Flooding query accounting over an explicit overlay, per source."""
+    """Flooding query accounting over an explicit overlay, per source.
+
+    At a unit per-user query rate: source ``s`` issues ``users[s]``
+    queries per second.
+    """
     graph = instance.graph
     ttl = instance.config.ttl
     m_sp = instance.superpeer_connections.astype(float)
-    users, q_rates, _ = _cluster_rates(instance)
+    users = instance.cluster_sizes().astype(float)
     msgs_o, addr_o, res_o = _response_triple(exp)
 
     send_q_proc = _SEND_Q_UNITS + _MUX * m_sp
     recv_q_proc = _RECV_Q_UNITS + _MUX * m_sp
 
     for s in sources.tolist():
-        w = q_rates[s] * scale
+        w = users[s] * scale
         prop = propagate_query(graph, s, ttl)
         reached = prop.reached
 
@@ -534,12 +653,13 @@ def _accumulate_queries_strong(
     one hop (EPL = 1) and nothing is forwarded.  With TTL >= 2 each
     non-source node additionally floods n-2 duplicate copies, which are
     received and dropped — the redundant-query waste rule #4 measures.
-    Exact over all sources at O(n) cost.
+    Exact over all sources at O(n) cost, at a unit per-user query rate.
     """
     n = instance.num_clusters
     ttl = instance.config.ttl
     m_sp = instance.superpeer_connections.astype(float)
-    users, q_rates, _ = _cluster_rates(instance)
+    # At a unit per-user rate a cluster issues one query per user.
+    users = q_rates = instance.cluster_sizes().astype(float)
     msgs_o, addr_o, res_o = _response_triple(exp)
 
     total_q = q_rates.sum()
@@ -647,7 +767,7 @@ def _add_direct_connection_overhead(
     only delta of the ``direct`` ablation is the handshake pair each
     responder/source exchanges to open the temporary connection.
     """
-    users, q_rates, _ = _cluster_rates(instance)
+    q_rates = instance.cluster_sizes().astype(float)  # unit per-user rate
     m_sp = instance.superpeer_connections.astype(float)
     msgs_o = exp.prob_respond
     total_q = q_rates.sum()
@@ -689,14 +809,11 @@ def _accumulate_client_query_costs(
     A querying client sends the query to (one of) its super-peer
     partner(s) and receives every Response the super-peer collects —
     including the super-peer's own-index results — forwarded as individual
-    Response messages (Section 3.2).
+    Response messages (Section 3.2).  At a unit per-user query rate.
     """
-    config = instance.config
     n = instance.num_clusters
-    k = instance.partners
     m_sp = instance.superpeer_connections.astype(float)
     m_cl = float(instance.client_connections)
-    users, q_rates, client_fraction = _cluster_rates(instance)
 
     # Per-cluster, per-query response volume to the client.  In sampled
     # mode unsampled clusters inherit the sampled mean (the statistic is
@@ -711,8 +828,8 @@ def _accumulate_client_query_costs(
         addr = np.where(evaluated, addr, np.nanmean(addr[evaluated]))
         res = np.where(evaluated, res, np.nanmean(res[evaluated]))
 
-    # Rate of client-sourced queries per cluster.
-    cq_rate = q_rates * client_fraction
+    # Rate of client-sourced queries per cluster: one per client.
+    cq_rate = instance.clients.astype(float)
 
     # Super-peer side: receive the query, send the collected responses.
     cq_in = cq_rate * _QUERY_BYTES
@@ -739,13 +856,12 @@ def _accumulate_client_query_costs(
         att.add_q("response", "proc", sp_resp_proc, hop=0)
 
     # Client side: each client submits queries at the per-user rate.
-    q = config.query_rate
     cluster_of_client = np.repeat(np.arange(n), instance.clients)
     if cluster_of_client.size:
-        cl_q_out = q * _QUERY_BYTES
-        cl_q_proc = q * (_SEND_Q_UNITS + _MUX * m_cl)
-        cl_resp_in = q * resp_bytes[cluster_of_client]
-        cl_resp_proc = q * (
+        cl_q_out = _QUERY_BYTES
+        cl_q_proc = _SEND_Q_UNITS + _MUX * m_cl
+        cl_resp_in = resp_bytes[cluster_of_client]
+        cl_resp_proc = (
             (costs.RECV_RESPONSE_BASE + _MUX * m_cl) * msgs[cluster_of_client]
             + costs.RECV_RESPONSE_PER_ADDRESS * addr[cluster_of_client]
             + costs.RECV_RESPONSE_PER_RESULT * res[cluster_of_client]

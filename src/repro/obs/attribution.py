@@ -83,6 +83,37 @@ class NullAttribution:
 NULL_ATTRIBUTION = NullAttribution()
 
 
+class RateScaledAttribution:
+    """Records into ``target`` each query-pass contribution times ``rate``.
+
+    The load engine computes query traffic at a unit per-user query rate
+    and multiplies the result by the configured rate; recording through
+    this view keeps the attributed query terms in the report's units.
+    Only the hooks the query passes call are forwarded.
+    """
+
+    enabled = True
+
+    def __init__(self, target: "LoadAttribution", rate: float) -> None:
+        self._target = target
+        self._rate = rate
+
+    def add_q(self, action, resource, amounts, hop=0):
+        self._target.add_q(action, resource, self._rate * amounts, hop)
+
+    def add_c(self, action, resource, amounts, hop=0):
+        self._target.add_c(action, resource, self._rate * amounts, hop)
+
+    def add_q_by_depth(self, action, resource, depth, amounts):
+        self._target.add_q_by_depth(action, resource, depth, self._rate * amounts)
+
+    def add_q_at(self, action, resource, mask, depth, amounts):
+        self._target.add_q_at(action, resource, mask, depth, self._rate * amounts)
+
+    def add_edges(self, prop, rate, fw_m, fw_a, fw_r):
+        self._target.add_edges(prop, self._rate * rate, fw_m, fw_a, fw_r)
+
+
 class LoadAttribution:
     """Accumulates per-(node, action, resource, hop) load contributions.
 

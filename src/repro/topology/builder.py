@@ -251,5 +251,8 @@ def build_instance_cached(
 
 
 def clear_instance_cache() -> None:
-    """Drop every cached instance (tests; memory-sensitive callers)."""
+    """Drop every cached instance and the query profiles computed on them."""
+    from ..core.load import clear_query_profile_cache  # local: import cycle
+
     _INSTANCE_CACHE.clear()
+    clear_query_profile_cache()

@@ -216,6 +216,14 @@ class TestBoundaryErrors:
             field="duration",
         )
 
+    @pytest.mark.parametrize("rate", ["nan", "inf", "-0.5"])
+    def test_analyze_invalid_query_rate(self, capsys, rate):
+        code = main(["analyze", "--graph-size", "200", "--query-rate", rate])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: query_rate ")
+        assert err.count("\n") == 1
+
 
 class TestResilience:
     def test_runs_and_reports(self, capsys):

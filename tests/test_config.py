@@ -74,6 +74,27 @@ def test_invalid_configurations_rejected(kwargs):
         Configuration(**kwargs)
 
 
+@pytest.mark.parametrize("field", ["query_rate", "update_rate"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), -1e-9])
+def test_action_rate_must_be_finite_and_non_negative(field, value):
+    with pytest.raises(ValueError) as excinfo:
+        Configuration(**{field: value})
+    message = str(excinfo.value)
+    assert message.startswith(f"{field} must be finite and >= 0")
+    assert message.endswith(f"got {value}")
+
+
+@pytest.mark.parametrize("field", ["query_rate", "update_rate"])
+def test_zero_action_rate_allowed(field):
+    assert getattr(Configuration(**{field: 0.0}), field) == 0.0
+
+
+@pytest.mark.parametrize("value", [1.5, -0.1, float("nan")])
+def test_cluster_size_sigma_message_names_value(value):
+    with pytest.raises(ValueError, match=r"^cluster_size_sigma must be in \[0, 1\), got "):
+        Configuration(cluster_size_sigma=value)
+
+
 def test_gnutella_2001_preset_matches_section_5_2():
     assert GNUTELLA_2001.graph_size == 20_000
     assert GNUTELLA_2001.cluster_size == 1

@@ -168,7 +168,7 @@ class TestSampling:
 
     def test_invalid_max_sources(self):
         instance = build_instance(Configuration(graph_size=100, cluster_size=10), seed=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^max_sources must be >= 1, got 0$"):
             evaluate_instance(instance, max_sources=0)
 
 
