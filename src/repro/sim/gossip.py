@@ -39,6 +39,7 @@ bit for bit.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +73,11 @@ ALIVE, SUSPECT, DEAD = 0, 1, 2
 
 _STATE_BITS = 2  # states fit in the low bits of a packed entry
 _STATE_MASK = (1 << _STATE_BITS) - 1
+
+#: Largest dense membership view a detector allocates, in bytes.  The
+#: view is an int64 ``(clusters, clusters * k)`` array, so 1 GiB holds
+#: about 8k clusters at k=2; larger runs use the oracle detector.
+_VIEW_BYTES_LIMIT = 1 << 30
 
 
 def pack_entry(inc, state):
@@ -130,14 +136,18 @@ class GossipSpec:
         for name in ("probe_interval", "suspect_timeout",
                      "anti_entropy_interval", "corroboration_timeout"):
             value = getattr(self, name)
-            if math.isnan(value) or value <= 0:
-                raise ValueError(f"{name} must be positive, got {value}")
-        if self.fanout < 1:
-            raise ValueError(f"fanout must be >= 1, got {self.fanout}")
-        if self.corroboration_m < 1:
-            raise ValueError(
-                f"corroboration_m must be >= 1, got {self.corroboration_m}"
-            )
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value) or value <= 0):
+                raise ValueError(
+                    f"{name} must be finite and > 0, got {value!r}"
+                )
+        for name in ("fanout", "monitors_n", "corroboration_m"):
+            value = getattr(self, name)
+            if (isinstance(value, bool)
+                    or not isinstance(value, numbers.Integral) or value < 1):
+                raise ValueError(
+                    f"{name} must be an integer >= 1, got {value!r}"
+                )
         if self.corroboration_m > self.monitors_n:
             raise ValueError(
                 f"corroboration_m ({self.corroboration_m}) cannot exceed "
@@ -204,6 +214,13 @@ class GossipDetector:
         self.sim = None
         self.tracer = runtime.tracer
         n, k = runtime.n, runtime.k
+        view_bytes = n * n * k * np.dtype(np.int64).itemsize
+        if view_bytes > _VIEW_BYTES_LIMIT:
+            raise ValueError(
+                f"gossip view of {n} clusters at k={k} needs {view_bytes} "
+                f"bytes, over the {_VIEW_BYTES_LIMIT}-byte limit; use "
+                f"DetectorSpec(mode=\"oracle\") at this size"
+            )
         self.n, self.k = n, k
         #: Ground-truth incarnation per slot; bumped on every up
         #: transition and refutation so fresh ALIVE claims out-version
@@ -675,53 +692,94 @@ class GossipDetector:
         """Ride a sampled query flood: digests travel every tree edge.
 
         Down the flood tree each reached node merges its predecessor's
-        view (in depth order, so rumors relay multiple hops within one
-        flood); up the reverse path each surviving response edge carries
-        the child's view back.  Both directions are charged as digest
-        bytes on top of the messages they ride.  While the run is quiet
-        (no suspicion episode has ever opened) every digest would be
-        empty, so nothing is attached and nothing is charged.
+        view (level by level, so rumors relay multiple hops within one
+        flood); up the reverse path, deepest level first, each surviving
+        response edge carries the child's view back.  Each digest is
+        sized by its sender's non-ALIVE entries when it is sent.  While
+        the run is quiet (no suspicion episode has ever opened) every
+        digest would be empty, so nothing is attached and nothing is
+        charged.
+
+        The merge touches only the view columns on which the tree's rows
+        disagree (elsewhere every max is a no-op); when they all agree,
+        no view changes and only the digests are charged.  Charges go
+        through one ``np.add.at`` per meter per flood, over the levels'
+        edges in travel order (each level's senders, then its
+        receivers, on the processing meters), so every meter sees the
+        same additions in the same order as a level-by-level walk.
         """
         if self._quiet:
             return
-        nodes = np.nonzero(prop.reached)[0]
-        nodes = nodes[nodes != prop.source]
+        source = prop.source
+        nodes = np.flatnonzero(prop.reached)
+        nodes = nodes[nodes != source]
         if nodes.size == 0:
             return
+        nodes = nodes[np.argsort(prop.depth[nodes], kind="stable")]
+        depth = prop.depth[nodes]
         preds = prop.pred[nodes]
-        depths = prop.depth[nodes]
-        for d in np.unique(depths):
-            at = depths == d
-            self._merge_rows(preds[at], nodes[at])
-        passing = edge_pass[nodes]
-        for d in np.unique(depths[passing])[::-1]:
-            at = passing & (depths == d)
-            self._merge_rows(nodes[at], preds[at])
-
-    def _merge_rows(self, senders: np.ndarray, receivers: np.ndarray) -> None:
-        """Vectorized digest transfer: charge per edge, merge per row."""
-        if senders.size == 0:
-            return
+        # Digest edges in travel order: down the tree shallowest level
+        # first, then up the surviving response edges deepest level first
+        # (ascending node id within a level), with a travel level each.
+        back = np.argsort(-depth, kind="stable")
+        back = back[edge_pass[nodes[back]]]
+        senders = np.concatenate((preds, nodes[back]))
+        receivers = np.concatenate((nodes, preds[back]))
+        level = np.concatenate((depth, 2 * depth[-1] + 1 - depth[back]))
+        rows = np.append(nodes, source)
+        tree = self.view[rows]
+        cols = np.flatnonzero((tree != tree[-1]).any(axis=0))
+        if cols.size == 0:
+            counts = self._active[senders]
+        else:
+            local = np.empty(self.n, dtype=np.int64)
+            local[rows] = np.arange(rows.size)
+            at_s, at_r = local[senders], local[receivers]
+            sub = tree[:, cols]
+            active = self._active[rows]
+            outside = active - np.count_nonzero(sub & _STATE_MASK, axis=1)
+            counts = np.empty(senders.size, dtype=np.int64)
+            bounds = [0, *(np.flatnonzero(np.diff(level)) + 1).tolist(),
+                      level.size]
+            for a, b in zip(bounds[:-1], bounds[1:]):
+                s, r = at_s[a:b], at_r[a:b]
+                counts[a:b] = active[s]
+                if a < nodes.size:
+                    # Down the tree each receiver is a distinct node.
+                    sub[r] = np.maximum(sub[r], sub[s])
+                else:
+                    # Up the tree parents repeat: one segment max each.
+                    order = np.argsort(r, kind="stable")
+                    r, s = r[order], s[order]
+                    heads = np.flatnonzero(np.diff(r, prepend=-1))
+                    r = r[heads]
+                    sub[r] = np.maximum(
+                        sub[r], np.maximum.reduceat(sub[s], heads, axis=0)
+                    )
+                active[r] = outside[r] + np.count_nonzero(
+                    sub[r] & _STATE_MASK, axis=1
+                )
+            self.view[rows[:, np.newaxis], cols] = sub
+            self._active[rows] = active
         sizes = (constants.GOSSIP_DIGEST_BASE
-                 + constants.GOSSIP_RUMOR_SIZE * self._active[senders]) / self.k
-        send_u = costs.SEND_UPDATE_UNITS / self.k
-        recv_u = (costs.RECV_UPDATE_UNITS + costs.PROCESS_UPDATE_UNITS) / self.k
+                 + constants.GOSSIP_RUMOR_SIZE * counts) / self.k
+        # Processing meters: each level's senders, then its receivers.
+        side = np.concatenate((2 * level, 2 * level + 1))
+        turn = np.argsort(side, kind="stable")
+        proc_at = np.concatenate((senders, receivers))[turn]
+        proc = np.where(turn < senders.size,
+                        costs.SEND_UPDATE_UNITS / self.k,
+                        (costs.RECV_UPDATE_UNITS
+                         + costs.PROCESS_UPDATE_UNITS) / self.k)
+        meters = [(self._gos_out, senders, sizes),
+                  (self._gos_in, receivers, sizes),
+                  (self._gos_units, proc_at, proc)]
         if self.st is not None:
-            np.add.at(self.st.sp_out, senders, sizes)
-            np.add.at(self.st.sp_proc, senders, send_u)
-            np.add.at(self.st.sp_in, receivers, sizes)
-            np.add.at(self.st.sp_proc, receivers, recv_u)
-        np.add.at(self._gos_out, senders, sizes)
-        np.add.at(self._gos_units, senders, send_u)
-        np.add.at(self._gos_in, receivers, sizes)
-        np.add.at(self._gos_units, receivers, recv_u)
-        # ufunc.at handles duplicate receiver rows (several children
-        # sharing one response-path parent) without buffering races.
-        np.maximum.at(self.view, receivers, self.view[senders])
-        uniq = np.unique(receivers)
-        self._active[uniq] = np.count_nonzero(
-            self.view[uniq] & _STATE_MASK, axis=1
-        )
+            meters += [(self.st.sp_out, senders, sizes),
+                       (self.st.sp_in, receivers, sizes),
+                       (self.st.sp_proc, proc_at, proc)]
+        for meter, at, amounts in meters:
+            np.add.at(meter, at, amounts)
         self.rumors_sent += int(senders.size)
         self._m_rumors.add(float(senders.size))
 

@@ -2,11 +2,13 @@
 
 import dataclasses
 import json
+import types
 
 import numpy as np
 import pytest
 
 from repro.config import Configuration
+from repro.sim import gossip as gossip_module
 from repro.sim.chaos import ChaosCaseError, ChaosSpec, run_chaos
 from repro.sim.engine import Simulator
 from repro.sim.faults import (
@@ -104,6 +106,50 @@ class TestGossipSpecValidation:
         with pytest.raises(ValueError):
             GossipSpec(corroboration_m=5, monitors_n=4)
 
+    @pytest.mark.parametrize("name", ["probe_interval", "suspect_timeout",
+                                      "anti_entropy_interval",
+                                      "corroboration_timeout"])
+    def test_rejects_infinite_interval(self, name):
+        # An infinite timeout used to construct and then overflow mid-run.
+        with pytest.raises(ValueError, match=rf"^{name} .*got inf"):
+            GossipSpec(**{name: float("inf")})
+
+    def test_rejects_non_numeric_interval(self):
+        with pytest.raises(ValueError, match=r"^probe_interval .*got '2'"):
+            GossipSpec(probe_interval="2")
+
+    def test_rejects_fractional_fanout(self):
+        # A fractional fanout used to construct and then fail in numpy.
+        with pytest.raises(ValueError, match=r"^fanout .*got 1\.5"):
+            GossipSpec(fanout=1.5)
+
+    def test_rejects_boolean_fanout(self):
+        with pytest.raises(ValueError, match=r"^fanout .*got True"):
+            GossipSpec(fanout=True)
+
+    def test_rejects_monitors_below_one(self):
+        with pytest.raises(ValueError, match=r"^monitors_n .*got 0"):
+            GossipSpec(corroboration_m=1, monitors_n=0)
+
+    def test_rejects_fractional_monitors(self):
+        with pytest.raises(ValueError, match=r"^monitors_n .*got 4\.0"):
+            GossipSpec(monitors_n=4.0)
+
+    def test_rejects_fractional_corroboration(self):
+        with pytest.raises(ValueError, match=r"^corroboration_m .*got 2\.5"):
+            GossipSpec(corroboration_m=2.5)
+
+    def test_messages_name_field_and_value(self):
+        with pytest.raises(ValueError, match=r"^suspect_timeout must be "
+                                             r"finite and > 0, got -1\.0$"):
+            GossipSpec(suspect_timeout=-1.0)
+        with pytest.raises(ValueError, match=r"^corroboration_m \(5\) "):
+            GossipSpec(corroboration_m=5, monitors_n=4)
+
+    def test_accepts_numpy_numbers(self):
+        spec = GossipSpec(probe_interval=np.float64(1.5), fanout=np.int64(3))
+        assert spec.fanout == 3
+
     def test_round_trip(self):
         spec = GossipSpec(probe_interval=1.5, suspect_timeout=4.5, fanout=3,
                           anti_entropy_interval=9.0, corroboration_m=3,
@@ -114,6 +160,40 @@ class TestGossipSpecValidation:
         spec = GossipSpec(probe_interval=2.0, suspect_timeout=6.0,
                           corroboration_timeout=6.0)
         assert spec.detection_bound == 16.0
+
+
+def _bare_runtime(n, k):
+    """Just enough of a fault runtime for ``GossipDetector.__init__``."""
+    graph = types.SimpleNamespace(
+        neighbors=lambda c: np.empty(0, dtype=np.int64)
+    )
+    return types.SimpleNamespace(n=n, k=k, tracer=None,
+                                 instance=types.SimpleNamespace(graph=graph))
+
+
+class TestViewMemoryBound:
+    def _build(self, n, k):
+        return GossipDetector(DetectorSpec(mode="gossip"), None,
+                              _bare_runtime(n, k), np.random.default_rng(0),
+                              lambda c, p: None)
+
+    def test_rejects_oversized_view_before_allocating(self):
+        # 50k clusters at k=2 would need a 40 GB view; the check fires
+        # before any array is allocated, so this costs nothing.
+        with pytest.raises(ValueError) as err:
+            self._build(50_000, 2)
+        message = str(err.value)
+        assert "50000 clusters at k=2" in message
+        assert str(50_000 * 50_000 * 2 * 8) in message
+        assert str(gossip_module._VIEW_BYTES_LIMIT) in message
+        assert 'DetectorSpec(mode="oracle")' in message
+
+    def test_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(gossip_module, "_VIEW_BYTES_LIMIT",
+                            20 * 20 * 2 * 8)
+        assert self._build(20, 2).view.shape == (20, 40)
+        with pytest.raises(ValueError, match="21 clusters at k=2"):
+            self._build(21, 2)
 
 
 class TestDetectorSpecModes:
